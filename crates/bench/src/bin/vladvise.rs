@@ -17,12 +17,15 @@
 //! cross-checks static against dynamic (avg VL within 10%, % vectorization
 //! within 5 points, top common VL exact, instruction count exact for exact
 //! walks) — exiting 1 on any mismatch, so CI can gate releases on the
-//! analyzer staying honest.
+//! analyzer staying honest. A failed results write also exits 1.
 //!
-//! Scale comes from `VLT_SCALE` (`test` | `small` | `full`), like every
-//! other experiment binary.
+//! Scale comes from `VLT_SCALE` (`test` | `small` | `full`), like the
+//! `vlt-bench` experiment runner.
 
-use vlt_bench::experiments::{scale_from_env, table4_static as ex};
+use std::path::Path;
+
+use vlt_bench::experiments::{scale_from_env, table4_static as ex, Record};
+use vlt_stats::Table;
 
 fn main() {
     let mut validate = false;
@@ -40,15 +43,18 @@ fn main() {
         }
     }
 
-    let scale = scale_from_env();
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("vladvise: {e}");
+        std::process::exit(2);
+    });
     let results = vlt_bench::results_dir();
 
     let rows = ex::run(scale);
-    print_static(&ex::static_table(&rows), &rows, &results, "table4_static");
+    print_static(ex::static_table(&rows), &rows, &results, "table4_static");
 
     let irr = ex::run_irregular(scale);
     println!();
-    print_static(&ex::irregular_static_table(&irr), &irr, &results, "irregular_static");
+    print_static(ex::irregular_static_table(&irr), &irr, &results, "irregular_static");
 
     if !validate {
         return;
@@ -59,13 +65,13 @@ fn main() {
     let dyn_rows = ex::dynamic_rows(scale);
     let dt = ex::dynamic_table(&dyn_rows);
     println!("{dt}");
-    write_table(&dt, &results, "table4_dynamic");
+    write_table(dt, &results, "table4_dynamic");
     errs.extend(ex::validate(&rows, &dyn_rows));
 
     let irr_dyn = ex::dynamic_rows_irregular(scale);
     let idt = ex::dynamic_table(&irr_dyn);
     println!("{idt}");
-    write_table(&idt, &results, "irregular_dynamic");
+    write_table(idt, &results, "irregular_dynamic");
     errs.extend(ex::validate(&irr, &irr_dyn));
 
     if errs.is_empty() {
@@ -81,12 +87,7 @@ fn main() {
     }
 }
 
-fn print_static(
-    t: &vlt_stats::Table,
-    rows: &[ex::StaticRow],
-    results: &std::path::Path,
-    name: &str,
-) {
+fn print_static(t: Table, rows: &[ex::StaticRow], results: &Path, name: &str) {
     println!("{t}");
     for r in rows {
         let a = &r.advice;
@@ -114,9 +115,12 @@ fn print_static(
     write_table(t, results, name);
 }
 
-fn write_table(t: &vlt_stats::Table, results: &std::path::Path, name: &str) {
-    match t.write_to(results, name) {
+fn write_table(t: Table, results: &Path, name: &str) {
+    match Record::table(name, t).write_to(results) {
         Ok(p) => println!("wrote {}", p.display()),
-        Err(err) => eprintln!("could not write results JSON: {err}"),
+        Err(err) => {
+            eprintln!("vladvise: could not write {}/{name}.json: {err}", results.display());
+            std::process::exit(1);
+        }
     }
 }

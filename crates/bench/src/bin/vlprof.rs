@@ -107,14 +107,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--threads needs a positive integer".to_string())?;
             }
-            "--scale" => {
-                scale = match next(&mut argv, "--scale")?.as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    s => return Err(format!("unknown scale {s:?} (test | small | full)")),
-                };
-            }
+            "--scale" => scale = next(&mut argv, "--scale")?.parse()?,
             "--engine" => {
                 engine = match next(&mut argv, "--engine")?.as_str() {
                     "block" => EngineMode::Block,

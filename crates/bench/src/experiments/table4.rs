@@ -6,12 +6,19 @@ use vlt_stats::{Experiment, Series, Table};
 use vlt_workloads::characterize::characterize;
 use vlt_workloads::{suite, Scale};
 
-/// Measure every workload.
-pub fn run(scale: Scale) -> Experiment {
+use super::Record;
+
+/// Measure every workload once: the `table4` experiment record, shown with
+/// the common-VL column (not representable in Series form).
+pub fn run(scale: Scale) -> Record {
     let mut e = Experiment::new(
         "table4",
         "Workload characteristics (measured vs paper)",
         "pct_vect / avg_vl / opportunity",
+    );
+    let mut t = Table::new(
+        "table4 — Workload characteristics",
+        &["app", "% vect (paper)", "avg VL (paper)", "common VLs (paper)", "% opp (paper)"],
     );
     let x = vec!["% vect".to_string(), "avg VL".to_string(), "% opportunity".to_string()];
     for w in suite() {
@@ -24,19 +31,6 @@ pub fn run(scale: Scale) -> Experiment {
                 row.opportunity.unwrap_or(0.0),
             ],
         ));
-    }
-    e
-}
-
-/// Render with the common-VL column (not representable in Series form).
-pub fn render_full(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "table4 — Workload characteristics",
-        &["app", "% vect (paper)", "avg VL (paper)", "common VLs (paper)", "% opp (paper)"],
-    );
-    for w in suite() {
-        let c = characterize(w, scale).unwrap_or_else(|err| panic!("{}: {err}", w.name()));
-        let row = w.paper_row();
         let fmt_opt = |v: Option<f64>| v.map(|x| format!("{x:.1}")).unwrap_or("-".into());
         let vls: Vec<String> = c.common_vls.iter().map(|v| v.to_string()).collect();
         let pvls: Vec<String> = row.common_vls.iter().map(|v| v.to_string()).collect();
@@ -52,5 +46,5 @@ pub fn render_full(scale: Scale) -> Table {
             format!("{:.1} ({})", c.opportunity, fmt_opt(row.opportunity)),
         ]);
     }
-    t
+    Record { shown: t, ..Record::experiment(&e) }
 }

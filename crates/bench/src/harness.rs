@@ -7,7 +7,7 @@
 //! [`SuiteError`]s instead of panicking inside a worker.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -21,38 +21,6 @@ pub const MAX_CYCLES: u64 = 2_000_000_000;
 /// Where JSON records land (repo-relative).
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Every figure/table record the full suite must leave in [`results_dir`].
-/// The `all` runner checks this set after writing and exits nonzero when
-/// one is absent — a silently-skipped experiment would otherwise look like
-/// a passing suite.
-pub const EXPECTED_RESULTS: [&str; 15] = [
-    "irregular_stalls",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table4_static",
-    "table4_dynamic",
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "ext_lanes",
-    "ext_chaining",
-    "ext_cluster",
-];
-
-/// The expected result records missing from `dir`, as `<id>.json` names
-/// (empty when the suite output is complete).
-pub fn missing_result_files(dir: &Path) -> Vec<String> {
-    EXPECTED_RESULTS
-        .iter()
-        .map(|id| format!("{id}.json"))
-        .filter(|f| !dir.join(f).is_file())
-        .collect()
 }
 
 /// A failed run within a suite: which run, and what went wrong.
@@ -276,12 +244,24 @@ mod tests {
         assert_eq!(BUILDS.load(Ordering::Relaxed), 1, "identical specs must share one build");
     }
 
+    /// The `<id>.json` files of [`crate::experiments::ALL`]'s records
+    /// missing from `dir`.
+    fn missing_result_files(dir: &std::path::Path) -> Vec<String> {
+        crate::experiments::ALL
+            .iter()
+            .flat_map(|e| e.records)
+            .map(|id| format!("{id}.json"))
+            .filter(|f| !dir.join(f).is_file())
+            .collect()
+    }
+
     #[test]
     fn committed_results_are_complete() {
         let missing = missing_result_files(&results_dir());
         assert!(
             missing.is_empty(),
-            "results/ is missing {missing:?} — run `cargo run --release --bin all` and commit"
+            "results/ is missing {missing:?} — run `cargo run --release -p vlt-bench -- all` \
+             and commit"
         );
     }
 
@@ -289,8 +269,10 @@ mod tests {
     fn missing_results_are_reported() {
         let empty = std::env::temp_dir().join("vlt-no-results-here");
         let missing = missing_result_files(&empty);
-        assert_eq!(missing.len(), EXPECTED_RESULTS.len());
+        let records: usize = crate::experiments::ALL.iter().map(|e| e.records.len()).sum();
+        assert_eq!(missing.len(), records);
         assert!(missing.contains(&"table3.json".to_string()));
+        assert!(missing.contains(&"table4_dynamic.json".to_string()));
     }
 
     #[test]

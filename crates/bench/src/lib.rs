@@ -4,30 +4,19 @@
 //! # vlt-bench — the experiment harness
 //!
 //! One module per table/figure of the paper's evaluation (§7), each
-//! producing a [`vlt_stats::Experiment`] record plus an ASCII table. The
-//! binaries under `src/bin/` are thin wrappers:
+//! producing a [`vlt_stats::Experiment`] record plus an ASCII table, all
+//! listed in [`experiments::ALL`]. One runner drives that table:
 //!
 //! ```text
-//! cargo run -p vlt-bench --release --bin fig1    # lane-count scaling
-//! cargo run -p vlt-bench --release --bin table1  # component areas
-//! cargo run -p vlt-bench --release --bin table2  # VLT area overheads
-//! cargo run -p vlt-bench --release --bin table3  # base configuration echo
-//! cargo run -p vlt-bench --release --bin table4  # workload characteristics
-//! cargo run -p vlt-bench --release --bin fig3    # VLT vector-thread speedup
-//! cargo run -p vlt-bench --release --bin fig4    # datapath utilization
-//! cargo run -p vlt-bench --release --bin fig5    # SU design space
-//! cargo run -p vlt-bench --release --bin fig6    # scalar threads on lanes
-//! cargo run -p vlt-bench --release --bin vladvise # static DLP advisor
-//! cargo run -p vlt-bench --release --bin all     # everything + summary
+//! cargo run -p vlt-bench --release -- fig1   # one experiment
+//! cargo run -p vlt-bench --release -- all    # every experiment, in order
 //! ```
 //!
-//! Every binary writes `results/<id>.json` with measured *and* paper
-//! values, which EXPERIMENTS.md summarizes.
+//! Every experiment writes `results/<id>.json` with measured *and* paper
+//! values, which EXPERIMENTS.md summarizes. The tools `vladvise`, `vlprof`
+//! and `vlregress` are separate binaries with their own flags.
 
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{
-    missing_result_files, results_dir, run_built, run_suite_parallel, RunSpec, SuiteError,
-    EXPECTED_RESULTS,
-};
+pub use harness::{results_dir, run_built, run_suite_parallel, RunSpec, SuiteError};

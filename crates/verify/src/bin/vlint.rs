@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 use vlt_isa::asm::assemble;
 use vlt_verify::dlp::{advise, dlp_report, DlpOptions};
-use vlt_verify::json::report_to_json;
+use vlt_verify::json::{quote, report_to_json};
 use vlt_verify::{check_races_with, verify_with, Code, Options};
 
 struct Cli {
@@ -298,25 +298,10 @@ fn main() -> ExitCode {
 /// A file that failed to assemble, as a JSON object (no diagnostics —
 /// the assembler stops at the first syntax error).
 fn assembly_error_json(path: &str, err: &str) -> String {
-    let q = |s: &str| {
-        let mut out = String::from("\"");
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    };
     format!(
         "{{\n  \"schema\": \"vlint-report\",\n  \"version\": 1,\n  \"path\": {},\n  \
          \"assembly_error\": {}\n}}",
-        q(path),
-        q(err)
+        quote(path),
+        quote(err)
     )
 }

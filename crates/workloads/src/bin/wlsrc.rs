@@ -46,14 +46,7 @@ fn run(args: &[String]) -> Result<String, String> {
                             .filter(|&n| n >= 1)
                             .ok_or("--clusters must be a positive integer")?;
                     }
-                    _ => {
-                        scale = match v.as_str() {
-                            "test" => Scale::Test,
-                            "small" => Scale::Small,
-                            "full" => Scale::Full,
-                            other => return Err(format!("unknown scale `{other}`")),
-                        };
-                    }
+                    _ => scale = v.parse()?,
                 }
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),

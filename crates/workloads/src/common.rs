@@ -26,6 +26,21 @@ impl Scale {
     }
 }
 
+/// Parses the lowercase names `test`, `small` and `full` — the one
+/// spelling every CLI flag and `VLT_SCALE` accepts.
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale `{other}` (expected test | small | full)")),
+        }
+    }
+}
+
 /// Verifier callback: inspects the final functional state.
 pub type Verifier = Box<dyn Fn(&FuncSim) -> Result<(), String> + Send + Sync>;
 
@@ -202,6 +217,17 @@ mod tests {
         assert_eq!(Scale::Test.pick(1, 2, 3), 1);
         assert_eq!(Scale::Small.pick(1, 2, 3), 2);
         assert_eq!(Scale::Full.pick(1, 2, 3), 3);
+    }
+
+    #[test]
+    fn scale_parses_only_its_lowercase_names() {
+        assert_eq!("test".parse(), Ok(Scale::Test));
+        assert_eq!("small".parse(), Ok(Scale::Small));
+        assert_eq!("full".parse(), Ok(Scale::Full));
+        for bad in ["Test", "SMALL", "", "large"] {
+            let err = bad.parse::<Scale>().unwrap_err();
+            assert!(err.contains("test | small | full"), "{bad:?}: {err}");
+        }
     }
 
     #[test]
