@@ -396,6 +396,11 @@ struct VecRouter<'a> {
 const TOKEN_MASK: u64 = (1u64 << 56) - 1;
 
 impl VectorSink for VecRouter<'_> {
+    fn has_room(&self, vthread: usize) -> bool {
+        // Refuse while draining toward a repartition.
+        !self.pending && self.vus[vthread % self.active].has_room(vthread / self.active)
+    }
+
     fn try_dispatch(&mut self, mut d: VecDispatch, now: u64) -> Option<VecToken> {
         if self.pending {
             return None; // draining toward a repartition

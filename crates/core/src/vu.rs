@@ -110,7 +110,10 @@ fn fu_index(class: OpClass) -> Option<usize> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum St {
     Waiting,
-    Done(u64),
+    /// Issued; the completion awaits the scalar unit's poll (the entry is
+    /// on [`VectorUnit`]'s completion list).
+    Done,
+    /// Polled; leaves the window at the end of this cycle's tick.
     Reported,
 }
 
@@ -246,6 +249,15 @@ pub struct VectorUnit {
     /// Issues logged since the driver last drained them.
     issue_log: Vec<VecIssue>,
     prog: Arc<DecodedProgram>,
+    /// Completion list: exactly the window entries in `St::Done`, as
+    /// (token, partition, completion cycle). [`VectorSink::poll`] looks
+    /// here only.
+    completed: Vec<(VecToken, usize, u64)>,
+    /// An entry was polled since the last tick's window cleanup.
+    reported: bool,
+    /// Per-cycle scratch for one partition's issue-time resolutions, kept
+    /// to reuse its capacity.
+    resolutions: Vec<(usize, u64, u64, WaitSrc)>,
 }
 
 impl VectorUnit {
@@ -273,6 +285,9 @@ impl VectorUnit {
             log_issues: false,
             issue_log: Vec::new(),
             prog,
+            completed: Vec::new(),
+            reported: false,
+            resolutions: Vec::new(),
         }
     }
 
@@ -388,8 +403,11 @@ impl VectorUnit {
         let (parked_local, local_threads) = self.localize(parked_threads, nthreads);
         self.account(now, parked_local, local_threads, draining);
 
-        for p in &mut self.partitions {
-            p.window.retain(|e| e.state != St::Reported);
+        if self.reported {
+            self.reported = false;
+            for p in &mut self.partitions {
+                p.window.retain(|e| e.state != St::Reported);
+            }
         }
     }
 
@@ -403,9 +421,8 @@ impl VectorUnit {
         mut net: Option<&mut ClusterNet>,
         arena: &AddrArena,
     ) -> usize {
-        let mut resolutions: Vec<(usize, u64, u64, WaitSrc)> = Vec::new();
+        let mut resolutions = std::mem::take(&mut self.resolutions);
         {
-            let prog = Arc::clone(&self.prog);
             let p = &mut self.partitions[pi];
             let lanes = p.lanes;
             for i in 0..p.window.len() {
@@ -421,7 +438,7 @@ impl VectorUnit {
                     continue;
                 }
                 let class = e.class;
-                let op = prog.get(e.sidx as usize).inst.op;
+                let op = self.prog.get(e.sidx as usize).inst.op;
                 let mut net_contended = false;
                 // `done` is full completion (what the SU polls and what the
                 // ROB retires on); `chain_ready` is when the first element
@@ -502,7 +519,9 @@ impl VectorUnit {
                 } else {
                     WaitSrc::Vector
                 };
-                p.window[i].state = St::Done(done);
+                let token = e.token;
+                p.window[i].state = St::Done;
+                self.completed.push((token, pi, done));
                 resolutions.push((
                     vthread,
                     seq,
@@ -513,9 +532,11 @@ impl VectorUnit {
         }
         // Wake same-partition consumers (vector-vector chaining through the
         // window happens at completion granularity).
-        for (vthread, seq, done, src) in resolutions {
+        for &(vthread, seq, done, src) in &resolutions {
             self.resolve_from(vthread, seq, done, Some(src));
         }
+        resolutions.clear();
+        self.resolutions = resolutions;
         budget
     }
 
@@ -654,6 +675,9 @@ impl VectorUnit {
     /// means "cannot skip". (A pending repartition over a drained unit is
     /// the system driver's event, guarded in its horizon scan.)
     pub fn next_event(&self, from: u64) -> Option<u64> {
+        if !self.completed.is_empty() || self.reported {
+            return Some(from); // the SU consumes completions at its next poll
+        }
         let mut ev: Option<u64> = None;
         for p in &self.partitions {
             for f in &p.arith {
@@ -664,13 +688,8 @@ impl VectorUnit {
                 }
             }
             for e in &p.window {
-                match e.state {
-                    // The SU consumes completions at its next poll.
-                    St::Done(_) | St::Reported => return Some(from),
-                    St::Waiting if e.deps.is_empty() => {
-                        fold_event(&mut ev, from.max(e.ready_base).max(e.dispatched_at + 1));
-                    }
-                    St::Waiting => {}
+                if e.state == St::Waiting && e.deps.is_empty() {
+                    fold_event(&mut ev, from.max(e.ready_base).max(e.dispatched_at + 1));
                 }
             }
         }
@@ -771,17 +790,21 @@ impl VectorUnit {
 }
 
 impl VectorSink for VectorUnit {
+    fn has_room(&self, vthread: usize) -> bool {
+        // Under a narrower partitioning than the thread count (a wide-DLP
+        // phase after `vltcfg 1`), thread groups share a partition.
+        let p = &self.partitions[vthread % self.partitions.len()];
+        p.window.len() < self.cfg.window_per_thread()
+    }
+
     fn try_dispatch(&mut self, d: VecDispatch, now: u64) -> Option<VecToken> {
         // NOTE: dispatch backpressure while a repartition drains is enforced
         // by the system driver's router (it spans all clusters), not here.
-        let cap = self.cfg.window_per_thread();
-        // Under a narrower partitioning than the thread count (a wide-DLP
-        // phase after `vltcfg 1`), thread groups share a partition.
-        let pi = d.vthread % self.partitions.len();
-        let p = &mut self.partitions[pi];
-        if p.window.len() >= cap {
+        if !self.has_room(d.vthread) {
             return None;
         }
+        let pi = d.vthread % self.partitions.len();
+        let p = &mut self.partitions[pi];
         let token = VecToken(self.next_token);
         self.next_token += 1;
         p.window.push(VuEntry {
@@ -807,18 +830,16 @@ impl VectorSink for VectorUnit {
     }
 
     fn poll(&mut self, token: VecToken) -> Option<u64> {
-        for p in &mut self.partitions {
-            for e in p.window.iter_mut() {
-                if e.token == token {
-                    if let St::Done(t) = e.state {
-                        e.state = St::Reported;
-                        return Some(t);
-                    }
-                    return None;
-                }
-            }
-        }
-        None
+        let i = self.completed.iter().position(|c| c.0 == token)?;
+        let (_, pi, t) = self.completed.swap_remove(i);
+        let e = self.partitions[pi]
+            .window
+            .iter_mut()
+            .find(|e| e.token == token)
+            .expect("a listed completion is in its partition's window");
+        e.state = St::Reported;
+        self.reported = true;
+        Some(t)
     }
 }
 

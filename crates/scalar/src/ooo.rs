@@ -2,8 +2,9 @@
 //!
 //! Pipeline model (one `tick` per cycle):
 //!
-//! 1. **Poll** — vector instructions in the ROB check the vector unit for
-//!    completion; completions resolve dependent consumers.
+//! 1. **Poll** — vector instructions awaiting the vector unit check it for
+//!    completion; completions publish their register effects and resolve
+//!    dependent consumers.
 //! 2. **Commit** — in-order per context, total width shared across SMT
 //!    contexts.
 //! 3. **Issue** — oldest-ready-first across contexts, bounded by issue
@@ -66,17 +67,19 @@ pub struct CoreStats {
     pub stalls: StallBreakdown,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum EKind {
     /// Scalar computation, branches, system ops.
     Alu,
     /// Scalar memory access.
     Mem { addr: u64, write: bool },
-    /// Vector instruction in flight in the vector unit. `early` marks
-    /// entries that retire from the ROB at dispatch (no scalar destination;
-    /// the VIQ/window tracks them — paper §2's decoupled vector execution);
-    /// their register effects are published when the VU completes them.
-    Vector { token: VecToken, early: bool },
+    /// Vector instruction handed to the vector unit. Every vector
+    /// instruction retires from the ROB at dispatch (the VIQ/window tracks
+    /// it — paper §2's decoupled vector execution), so the entry is born
+    /// issued with `done_at` set to the dispatch cycle. Its register
+    /// effects, scalar destinations included, publish when the VU reports
+    /// completion (`OooCore::pending_vec`).
+    Vector,
     /// Barrier marker (completes immediately; fetch gating enforces order).
     Barrier,
     /// Serializing instruction (`vltcfg`): drains the ROB.
@@ -136,6 +139,9 @@ fn reg_index(r: RegRef) -> usize {
 }
 const REG_SPACE: usize = 98;
 
+/// Most SMT contexts one core holds (the V4-SMT design point).
+const MAX_CTXS: usize = 4;
+
 impl Ctx {
     fn new() -> Self {
         Ctx {
@@ -164,11 +170,16 @@ pub struct OooCore {
     prog: Arc<DecodedProgram>,
     pred: Predictor,
     ctxs: Vec<Ctx>,
-    /// Early-retired vector instructions awaiting VU completion:
-    /// (context, seq, token).
-    pending_vec: Vec<(usize, u64, VecToken)>,
+    /// Vector instructions awaiting VU completion, in dispatch order:
+    /// (context, seq, sidx, token).
+    pending_vec: Vec<(usize, u64, u32, VecToken)>,
     seq_next: u64,
     div_free: u64,
+    /// Per-cycle scratch, kept to reuse its capacity: issue candidates as
+    /// (seq, context), and this cycle's vector completions as
+    /// (context, seq, sidx, completion cycle).
+    cands: Vec<(u64, usize)>,
+    completed: Vec<(usize, u64, u32, u64)>,
     /// Statistics counters.
     pub stats: CoreStats,
 }
@@ -176,6 +187,7 @@ pub struct OooCore {
 impl OooCore {
     /// Build a core; contexts are bound with [`OooCore::bind`].
     pub fn new(cfg: CoreConfig, core_id: usize, prog: Arc<DecodedProgram>) -> Self {
+        assert!(cfg.smt_contexts <= MAX_CTXS, "at most {MAX_CTXS} SMT contexts per core");
         let ctxs = (0..cfg.smt_contexts).map(|_| Ctx::new()).collect();
         OooCore {
             cfg,
@@ -186,6 +198,8 @@ impl OooCore {
             pending_vec: Vec::new(),
             seq_next: 0,
             div_free: 0,
+            cands: Vec::new(),
+            completed: Vec::new(),
             stats: CoreStats::default(),
         }
     }
@@ -285,17 +299,21 @@ impl OooCore {
         if self.ctxs.iter().any(|c| !c.rob.is_empty()) {
             self.stats.busy_cycles += cycles;
         }
-        let any_eligible = self.ctxs.iter().any(|c| {
-            c.thread.is_some()
-                && !c.halted
-                && !c.draining
-                && c.fetch_ready <= from
-                && (c.rob.len() < self.cfg.window_per_ctx() || c.pending.is_some())
-        });
+        let any_eligible = self.ctxs.iter().any(|c| self.fetch_eligible(c, from));
         if !any_eligible && self.ctxs.iter().any(|c| c.active()) {
             self.stats.fetch_stall_cycles += cycles;
             self.stats.stalls.add(self.fetch_stall_cause(from), cycles);
         }
+    }
+
+    /// True when context `c` may fetch or retry its stashed instruction at
+    /// cycle `now`.
+    fn fetch_eligible(&self, c: &Ctx, now: u64) -> bool {
+        c.thread.is_some()
+            && !c.halted
+            && !c.draining
+            && c.fetch_ready <= now
+            && (c.rob.len() < self.cfg.window_per_ctx() || c.pending.is_some())
     }
 
     /// Classify *why* no context is fetch-eligible this cycle, for
@@ -333,7 +351,7 @@ impl OooCore {
             // by the oldest entry that has not completed yet.
             match c.rob.iter().find(|e| e.done_at.is_none_or(|d| d > now)) {
                 Some(e) => match e.kind {
-                    EKind::Vector { .. } => chain = true,
+                    EKind::Vector => chain = true,
                     EKind::Mem { .. } => bank = true,
                     _ => scalar = true,
                 },
@@ -377,65 +395,47 @@ impl OooCore {
         Ok(())
     }
 
-    /// Stage 1: pick up vector-unit completions, both for ROB-resident
-    /// vector instructions (scalar destinations) and early-retired ones.
+    /// Stage 1: pick up vector-unit completions, in dispatch order.
     fn poll_vector(&mut self, vu: &mut dyn VectorSink) {
-        for ci in 0..self.ctxs.len() {
-            let vthread = self.ctxs[ci].vthread;
-            let mut resolved: Vec<(u64, u64)> = Vec::new();
-            for e in self.ctxs[ci].rob.iter_mut() {
-                if e.done_at.is_none() {
-                    if let EKind::Vector { token, .. } = e.kind {
-                        if let Some(t) = vu.poll(token) {
-                            e.done_at = Some(t);
-                            resolved.push((e.seq, t));
-                        }
-                    }
-                }
-            }
-            for (seq, t) in resolved {
-                self.resolve_producer(ci, seq, t, vthread, vu);
-            }
-        }
-        let mut completed: Vec<(usize, u64, u64)> = Vec::new();
-        self.pending_vec.retain(|(ci, seq, token)| match vu.poll(*token) {
+        let mut completed = std::mem::take(&mut self.completed);
+        self.pending_vec.retain(|&(ci, seq, sidx, token)| match vu.poll(token) {
             Some(t) => {
-                completed.push((*ci, *seq, t));
+                completed.push((ci, seq, sidx, t));
                 false
             }
             None => true,
         });
-        for (ci, seq, t) in completed {
+        for &(ci, seq, sidx, t) in &completed {
             // Publish register effects now that the completion is known.
-            let vthread = self.ctxs[ci].vthread;
-            for r in 0..REG_SPACE {
-                if self.ctxs[ci].reg_map[r] == Producer::InFlight(seq) {
-                    self.ctxs[ci].reg_map[r] = Producer::Ready(t);
+            let reg_map = &mut self.ctxs[ci].reg_map;
+            for d in &self.prog.get(sidx as usize).defs {
+                let r = &mut reg_map[reg_index(*d)];
+                if *r == Producer::InFlight(seq) {
+                    *r = Producer::Ready(t);
                 }
             }
-            self.resolve_producer(ci, seq, t, vthread, vu);
+            self.resolve_producer(ci, seq, t, vu);
         }
+        completed.clear();
+        self.completed = completed;
     }
 
     /// Broadcast a producer's completion to waiting consumers (this core's
     /// window and the vector unit's window).
-    fn resolve_producer(
-        &mut self,
-        ci: usize,
-        seq: u64,
-        done_at: u64,
-        vthread: usize,
-        vu: &mut dyn VectorSink,
-    ) {
-        for e in self.ctxs[ci].rob.iter_mut() {
-            if !e.issued || e.done_at.is_none() {
+    fn resolve_producer(&mut self, ci: usize, seq: u64, done_at: u64, vu: &mut dyn VectorSink) {
+        let c = &mut self.ctxs[ci];
+        // The ROB is in `seq` order and consumers are younger than their
+        // producer: only entries past `seq` can wait on it.
+        let start = c.rob.partition_point(|e| e.seq <= seq);
+        for e in c.rob.range_mut(start..) {
+            if !e.issued {
                 if let Some(pos) = e.deps.iter().position(|d| *d == seq) {
                     e.deps.swap_remove(pos);
                     e.ready_base = e.ready_base.max(done_at);
                 }
             }
         }
-        vu.resolve(vthread, seq, done_at);
+        vu.resolve(c.vthread, seq, done_at);
     }
 
     /// Stage 2: in-order commit per context, shared width.
@@ -452,9 +452,9 @@ impl OooCore {
                 }
                 let e = self.ctxs[ci].rob.pop_front().unwrap();
                 // Retire register state: later fetches read Ready(done).
-                // Early-retired vector entries publish at VU completion
-                // (their `done` here is only the dispatch cycle).
-                if !matches!(e.kind, EKind::Vector { early: true, .. }) {
+                // Vector entries publish at VU completion (their `done`
+                // here is only the dispatch cycle).
+                if e.kind != EKind::Vector {
                     let si = self.prog.get(e.sidx as usize);
                     for d in &si.defs {
                         let idx = reg_index(*d);
@@ -481,8 +481,8 @@ impl OooCore {
         let mut arith = self.cfg.arith_units;
         let mut ports = self.cfg.mem_ports;
 
-        // Candidate (ctx, seq) pairs in global age order.
-        let mut cands: Vec<(u64, usize)> = Vec::new();
+        // Candidate (seq, ctx) pairs in global age order.
+        let mut cands = std::mem::take(&mut self.cands);
         for (ci, c) in self.ctxs.iter().enumerate() {
             for e in c.rob.iter() {
                 if !e.issued && e.deps.is_empty() && e.ready_base <= now {
@@ -492,19 +492,14 @@ impl OooCore {
         }
         cands.sort_unstable();
 
-        for (seq, ci) in cands {
+        for &(seq, ci) in &cands {
             if slots == 0 {
                 break;
             }
-            let vthread = self.ctxs[ci].vthread;
             // Locate the entry (indices shift only on commit, not here).
-            let Some(pos) = self.ctxs[ci].rob.iter().position(|e| e.seq == seq) else {
-                continue;
-            };
-            let (class, kind) = {
-                let e = &self.ctxs[ci].rob[pos];
-                (e.class, e.kind.clone())
-            };
+            let rob = &self.ctxs[ci].rob;
+            let pos = rob.binary_search_by_key(&seq, |e| e.seq).expect("candidate left the ROB");
+            let (class, kind) = (rob[pos].class, rob[pos].kind);
             let done = match kind {
                 EKind::Alu => {
                     if arith == 0 {
@@ -531,9 +526,10 @@ impl OooCore {
                         t
                     }
                 }
-                EKind::Barrier | EKind::Done => now,
                 EKind::Serialize => now + 1,
-                EKind::Vector { .. } => continue, // completes via poll
+                EKind::Barrier | EKind::Done | EKind::Vector => {
+                    unreachable!("{kind:?} entries are dispatched already issued")
+                }
             };
             slots -= 1;
             self.stats.issued += 1;
@@ -542,8 +538,10 @@ impl OooCore {
                 e.issued = true;
                 e.done_at = Some(done);
             }
-            self.resolve_producer(ci, seq, done, vthread, vu);
+            self.resolve_producer(ci, seq, done, vu);
         }
+        cands.clear();
+        self.cands = cands;
     }
 
     /// Stage 4: fetch and dispatch. ICOUNT-ordered, 2.4-style: up to two
@@ -557,17 +555,17 @@ impl OooCore {
         src: &mut dyn FetchSource,
         vu: &mut dyn VectorSink,
     ) -> Result<(), ExecError> {
-        // Eligible contexts, fewest in-flight first.
-        let mut order: Vec<usize> = (0..self.ctxs.len())
-            .filter(|&ci| {
-                let c = &self.ctxs[ci];
-                c.thread.is_some()
-                    && !c.halted
-                    && !c.draining
-                    && c.fetch_ready <= now
-                    && (c.rob.len() < self.cfg.window_per_ctx() || c.pending.is_some())
-            })
-            .collect();
+        // Eligible contexts, fewest in-flight first (stable: ties keep
+        // context order).
+        let mut order = [0usize; MAX_CTXS];
+        let mut n = 0;
+        for (ci, c) in self.ctxs.iter().enumerate() {
+            if self.fetch_eligible(c, now) {
+                order[n] = ci;
+                n += 1;
+            }
+        }
+        let order = &mut order[..n];
         order.sort_by_key(|&ci| self.ctxs[ci].rob.len());
         if order.is_empty() {
             if self.ctxs.iter().any(|c| c.active()) {
@@ -636,10 +634,14 @@ impl OooCore {
     }
 
     /// Rename + dispatch one instruction into the window (and the VU for
-    /// vector instructions). Returns false if the VU refused (VIQ full);
-    /// the instruction is stashed for retry.
+    /// vector instructions). Returns false if the VU has no room (VIQ full,
+    /// or a repartition draining); the instruction is stashed for retry.
     fn dispatch(&mut self, ci: usize, d: DynInst, now: u64, vu: &mut dyn VectorSink) -> bool {
         let si = self.prog.get(d.sidx as usize);
+        if si.class.is_vector() && !vu.has_room(self.ctxs[ci].vthread) {
+            self.ctxs[ci].pending = Some(d);
+            return false;
+        }
         let seq = self.seq_next;
 
         // Dependence snapshot. An in-flight producer may already have issued
@@ -652,11 +654,12 @@ impl OooCore {
             match self.ctxs[ci].reg_map[reg_index(*u)] {
                 Producer::Ready(c) => ready_base = ready_base.max(c),
                 Producer::InFlight(s) => {
-                    let rob_entry = self.ctxs[ci].rob.iter().find(|e| e.seq == s);
+                    let rob = &self.ctxs[ci].rob;
+                    let rob_entry = rob.binary_search_by_key(&s, |e| e.seq).ok().map(|i| &rob[i]);
                     let completion_pending = rob_entry.is_none_or(|e| {
-                        // Early-retired vector producers have a placeholder
-                        // done_at (dispatch cycle); wait for the VU instead.
-                        matches!(e.kind, EKind::Vector { early: true, .. }) || e.done_at.is_none()
+                        // Vector producers have a placeholder done_at
+                        // (dispatch cycle); wait for the VU instead.
+                        e.kind == EKind::Vector || e.done_at.is_none()
                     });
                     match rob_entry {
                         Some(e) if !completion_pending => {
@@ -665,17 +668,17 @@ impl OooCore {
                         _ => {
                             debug_assert!(
                                 rob_entry.is_some()
-                                    || self.pending_vec.iter().any(|(c, q, _)| *c == ci && *q == s),
+                                    || self.pending_vec.iter().any(|p| p.0 == ci && p.1 == s),
                                 "in-flight producer {s} is neither in the ROB nor pending in the VU"
                             );
                             if !deps.contains(&s) {
                                 deps.push(s);
-                                // Producers absent from the ROB retired early
-                                // into the VU; ROB-resident vector entries are
+                                // Producers absent from the ROB retired into
+                                // the VU; ROB-resident vector entries are
                                 // vector producers too. Everything else is a
                                 // scalar producer (attribution metadata only).
-                                let vector_producer = rob_entry
-                                    .is_none_or(|e| matches!(e.kind, EKind::Vector { .. }));
+                                let vector_producer =
+                                    rob_entry.is_none_or(|e| e.kind == EKind::Vector);
                                 if !vector_producer {
                                     scalar_deps.push(s);
                                 }
@@ -711,26 +714,20 @@ impl OooCore {
                     class: si.class,
                     addrs,
                     seq,
-                    deps: deps.clone(),
-                    scalar_deps: scalar_deps.clone(),
+                    // The ROB entry is born issued and never reads its deps.
+                    deps: std::mem::take(&mut deps),
+                    scalar_deps,
                     ready_base,
                 };
-                match vu.try_dispatch(disp, now) {
-                    Some(token) => {
-                        self.stats.vec_dispatched += 1;
-                        // All vector instructions retire from the ROB at
-                        // dispatch (Cray X1-style: past the point of no
-                        // exception, the VU tracks them); register effects
-                        // — including scalar destinations of reductions —
-                        // publish when the VU completes (poll_vector).
-                        self.pending_vec.push((ci, seq, token));
-                        EKind::Vector { token, early: true }
-                    }
-                    None => {
-                        self.ctxs[ci].pending = Some(d);
-                        return false;
-                    }
-                }
+                let token = vu.try_dispatch(disp, now).expect("VIQ refused after has_room");
+                self.stats.vec_dispatched += 1;
+                // All vector instructions retire from the ROB at dispatch
+                // (Cray X1-style: past the point of no exception, the VU
+                // tracks them); register effects — including scalar
+                // destinations of reductions — publish when the VU
+                // completes (poll_vector).
+                self.pending_vec.push((ci, seq, d.sidx, token));
+                EKind::Vector
             }
             (DynKind::Branch { taken, target }, _) => {
                 let correct = self.pred.observe(d.pc, si.inst.op, *taken, *target);
@@ -757,8 +754,7 @@ impl OooCore {
             self.ctxs[ci].reg_map[reg_index(*def)] = Producer::InFlight(seq);
         }
         let done_at = match kind {
-            EKind::Barrier | EKind::Done => Some(now),
-            EKind::Vector { early: true, .. } => Some(now),
+            EKind::Barrier | EKind::Done | EKind::Vector => Some(now),
             _ => None,
         };
         let issued = done_at.is_some();

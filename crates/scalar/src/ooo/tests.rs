@@ -1,6 +1,7 @@
 //! OOO core timing tests, driven end-to-end: assemble → functional sim →
 //! core timing model.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use vlt_exec::{DecodedProgram, ExecError, FuncSim, Step};
@@ -8,8 +9,9 @@ use vlt_isa::asm::assemble;
 use vlt_mem::{MemConfig, MemSystem};
 
 use crate::config::CoreConfig;
-use crate::ooo::OooCore;
-use crate::traits::{FetchResult, FetchSource, NullVectorSink};
+use crate::ooo::{CoreStats, OooCore};
+use crate::stall::StallCause;
+use crate::traits::{FetchResult, FetchSource, NullVectorSink, VecDispatch, VecToken, VectorSink};
 
 /// Adapter: the functional simulator as a fetch source.
 struct SimSource(FuncSim);
@@ -276,4 +278,113 @@ fn double_bind_rejected() {
     let mut core = OooCore::new(CoreConfig::four_way(), 0, decoded);
     core.bind(0, 0, 0);
     core.bind(0, 1, 1);
+}
+
+/// A stand-in vector unit with a `cap`-entry instruction queue shared by
+/// all contexts. An accepted instruction completes `lat` cycles after it
+/// becomes ready, its completion is reported at the first poll, and its
+/// queue slot frees once that cycle has passed.
+struct SmallViq {
+    cap: usize,
+    lat: u64,
+    next: u64,
+    /// (token, completion cycle, reported).
+    inflight: Vec<(VecToken, u64, bool)>,
+    /// `has_room` answers of "full".
+    full: Cell<u64>,
+    /// Dispatches turned away for lack of room.
+    refused: u64,
+}
+
+impl SmallViq {
+    fn retire(&mut self, now: u64) {
+        self.inflight.retain(|&(_, done, reported)| !(reported && done <= now));
+    }
+}
+
+impl VectorSink for SmallViq {
+    fn has_room(&self, _vthread: usize) -> bool {
+        let room = self.inflight.len() < self.cap;
+        if !room {
+            self.full.set(self.full.get() + 1);
+        }
+        room
+    }
+
+    fn try_dispatch(&mut self, d: VecDispatch, now: u64) -> Option<VecToken> {
+        if self.inflight.len() >= self.cap {
+            self.refused += 1;
+            return None;
+        }
+        let t = VecToken(self.next);
+        self.next += 1;
+        self.inflight.push((t, now.max(d.ready_base) + self.lat, false));
+        Some(t)
+    }
+
+    fn resolve(&mut self, _vthread: usize, _seq: u64, _done_at: u64) {}
+
+    fn poll(&mut self, token: VecToken) -> Option<u64> {
+        let e = self.inflight.iter_mut().find(|e| e.0 == token && !e.2)?;
+        e.2 = true;
+        Some(e.1)
+    }
+}
+
+/// A 3-entry VIQ under two SMT contexts of vector-heavy loops: most
+/// vector dispatches are refused and retried. The core must ask for room
+/// before dispatching, and its statistics must match the figures the
+/// dispatch-then-retry implementation produced (pinned below).
+#[test]
+fn viq_full_retries_keep_core_stats() {
+    let src = r#"
+        li   x1, 64
+        setvl x2, x1
+        li   x20, 0
+        li   x21, 40
+    loop:
+        vfadd.vv v1, v2, v3
+        vfmul.vv v4, v1, v3
+        add  x5, x5, x3
+        vfadd.vv v5, v4, v2
+        vfredsum f1, v5
+        fadd f2, f2, f1
+        vfdiv.vv v6, v5, v2
+        addi x20, x20, 1
+        blt  x20, x21, loop
+        halt
+    "#;
+    let prog = assemble(src).unwrap();
+    let sim = FuncSim::new(&prog, 2);
+    let decoded = Arc::clone(&sim.prog);
+    let mut source = SimSource(sim);
+    let mut mem = MemSystem::new(MemConfig::default(), 1, 0);
+    let mut core = OooCore::new(CoreConfig::four_way().with_smt(2), 0, decoded);
+    core.bind(0, 0, 0);
+    core.bind(1, 1, 1);
+    let mut vu =
+        SmallViq { cap: 3, lat: 9, next: 0, inflight: Vec::new(), full: Cell::new(0), refused: 0 };
+    let mut now = 0u64;
+    while !core.done() {
+        core.tick(now, &mut mem, &mut source, &mut vu).unwrap();
+        vu.retire(now);
+        now += 1;
+        assert!(now < 200_000, "core did not finish");
+    }
+    assert!(vu.full.get() > 0, "the VIQ never filled");
+    assert_eq!(vu.refused, 0, "dispatch must ask for room first");
+    assert_eq!(now, 1623);
+    let mut stalls = crate::stall::StallBreakdown::default();
+    stalls.add(StallCause::ScalarDep, 11);
+    stalls.add(StallCause::IssueWidth, 74);
+    let expected = CoreStats {
+        committed: 730,
+        issued: 328,
+        vec_dispatched: 400,
+        fetch_stall_cycles: 85,
+        busy_cycles: 1271,
+        mispredicts: 17,
+        stalls,
+    };
+    assert_eq!(core.stats, expected);
 }

@@ -83,6 +83,12 @@ pub struct VecDispatch {
 
 /// The scalar unit's view of the vector unit.
 pub trait VectorSink {
+    /// True when [`VectorSink::try_dispatch`] would accept an instruction
+    /// from `vthread` this cycle. The scalar unit asks before it builds the
+    /// dispatch, so a full VIQ costs one query rather than a dependence
+    /// snapshot that is then thrown away.
+    fn has_room(&self, vthread: usize) -> bool;
+
     /// Try to enqueue into the vector instruction queue; `None` if the
     /// per-thread VIQ partition is full this cycle (retry next cycle).
     fn try_dispatch(&mut self, d: VecDispatch, now: u64) -> Option<VecToken>;
@@ -103,6 +109,10 @@ pub trait VectorSink {
 pub struct NullVectorSink;
 
 impl VectorSink for NullVectorSink {
+    fn has_room(&self, _vthread: usize) -> bool {
+        true // so the dispatch reaches `try_dispatch` and panics there
+    }
+
     fn try_dispatch(&mut self, d: VecDispatch, _now: u64) -> Option<VecToken> {
         panic!("vector instruction (sidx {}) on a configuration without a vector unit", d.sidx)
     }

@@ -4,9 +4,7 @@
 //! both the measured values and the paper's reference values, so
 //! EXPERIMENTS.md can be regenerated mechanically and regressions diffed.
 
-use std::fs;
 use std::io;
-use std::path::Path;
 
 use crate::json::Json;
 
@@ -147,19 +145,6 @@ impl Experiment {
             series,
         })
     }
-
-    /// Write to `dir/<id>.json`, creating the directory.
-    pub fn write_to(&self, dir: &Path) -> io::Result<std::path::PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    /// Read back a record.
-    pub fn read_from(path: &Path) -> io::Result<Self> {
-        Self::from_json(&fs::read_to_string(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -185,17 +170,6 @@ mod tests {
         let e = Experiment::from_json(text).unwrap();
         assert_eq!(e.series[0].paper, Vec::<f64>::new());
         assert_eq!(e.series[0].values, vec![1.5]);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("vlt-stats-test-{}", std::process::id()));
-        let mut e = Experiment::new("t", "x", "y");
-        e.push(Series::new("a", &["i".to_string()], vec![1.0]));
-        let path = e.write_to(&dir).unwrap();
-        let back = Experiment::read_from(&path).unwrap();
-        assert_eq!(back, e);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use crate::json::Json;
 
@@ -90,14 +88,6 @@ impl Table {
         m.insert("headers".into(), strs(&self.headers));
         m.insert("rows".into(), Json::Arr(self.rows.iter().map(|r| strs(r)).collect()));
         Json::Obj(m)
-    }
-
-    /// Write the JSON record to `<dir>/<id>.json`, returning the path.
-    pub fn write_to(&self, dir: &Path, id: &str) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{id}.json"));
-        std::fs::write(&path, self.to_json(id).pretty())?;
-        Ok(path)
     }
 }
 
