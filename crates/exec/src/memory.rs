@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use vlt_isa::{Program, DATA_BASE, TEXT_BASE};
 
@@ -149,33 +150,46 @@ impl Memory {
         self.write_u64(addr, v.to_bits());
     }
 
-    /// Bulk write.
+    /// Bulk write, one page-sized copy at a time. Maps exactly the pages
+    /// a byte-by-byte [`write_u8`](Memory::write_u8) loop would.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+        for (at, page, buf) in page_spans(addr, bytes.len()) {
+            self.page_mut(at)[page].copy_from_slice(&bytes[buf]);
         }
     }
 
-    /// Bulk read.
+    /// Bulk read, one page-sized copy at a time; unmapped bytes read as
+    /// zero and stay unmapped.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        let mut out = vec![0; len];
+        for (at, page, buf) in page_spans(addr, len) {
+            if let Some(p) = self.page(at) {
+                out[buf].copy_from_slice(&p[page]);
+            }
+        }
+        out
     }
 
     /// Number of resident pages (for footprint assertions in tests).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
+}
 
-    /// FNV-1a checksum over a byte range — used by workloads to verify
-    /// results independently of how they were computed.
-    pub fn checksum(&self, addr: u64, len: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..len {
-            h ^= self.read_u8(addr + i as u64) as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
+/// Split `[addr, addr + len)` at page boundaries into
+/// `(address, range within its page, range within the buffer)` spans.
+fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr + done as u64;
+            let off = (at as usize) & (PAGE_SIZE - 1);
+            let n = (PAGE_SIZE - off).min(len - done);
+            let span = (at, off..off + n, done..done + n);
+            done += n;
+            span
+        })
+    })
 }
 
 #[cfg(test)]
@@ -220,16 +234,6 @@ mod tests {
         assert_eq!(m.read_u64(DATA_BASE), 77);
     }
 
-    #[test]
-    fn checksum_sensitivity() {
-        let mut m = Memory::new();
-        m.write_u64(0x100, 1);
-        let a = m.checksum(0x100, 16);
-        m.write_u8(0x10F, 1);
-        let b = m.checksum(0x100, 16);
-        assert_ne!(a, b);
-    }
-
     proptest! {
         #[test]
         fn u64_roundtrip_any_addr(addr in 0u64..1_000_000, v in any::<u64>()) {
@@ -243,6 +247,35 @@ mod tests {
             let mut m = Memory::new();
             m.write_bytes(addr, &data);
             prop_assert_eq!(m.read_bytes(addr, data.len()), data);
+        }
+
+        /// Page-spanning bulk writes leave the same image (bytes, resident
+        /// pages, `PartialEq`) as a `write_u8` loop, and a bulk read of any
+        /// window, mapped or not, equals a `read_u8` loop and maps nothing.
+        #[test]
+        fn bulk_ops_match_byte_loops(
+            seed in 0u64..6 * PAGE_SIZE as u64,
+            writes in proptest::collection::vec(
+                (0u64..4 * PAGE_SIZE as u64, proptest::collection::vec(any::<u8>(), 0..3 * PAGE_SIZE)),
+                0..4,
+            ),
+            window in (0u64..6 * PAGE_SIZE as u64, 0usize..3 * PAGE_SIZE),
+        ) {
+            let mut bulk = Memory::new();
+            bulk.write_u8(seed, 1);
+            let mut bytewise = bulk.clone();
+            for (addr, data) in &writes {
+                bulk.write_bytes(*addr, data);
+                for (i, b) in data.iter().enumerate() {
+                    bytewise.write_u8(addr + i as u64, *b);
+                }
+            }
+            prop_assert_eq!(bulk.resident_pages(), bytewise.resident_pages());
+            prop_assert!(bulk == bytewise);
+            let (addr, len) = window;
+            let expect: Vec<u8> = (0..len).map(|i| bytewise.read_u8(addr + i as u64)).collect();
+            prop_assert_eq!(bulk.read_bytes(addr, len), expect);
+            prop_assert!(bulk == bytewise, "read_bytes must not map pages");
         }
     }
 }

@@ -21,6 +21,8 @@
 //! the analysis never *proves* memory safety, it catches constant-address
 //! slips.
 
+use std::fmt;
+
 use vlt_isa::{Inst, Op, Program, RegRef, DATA_BASE, MAX_VL, STACK_BASE, STACK_SIZE, TEXT_BASE};
 
 use crate::cfg::Cfg;
@@ -161,20 +163,32 @@ impl AbsState {
             *self = other.clone();
             return true;
         }
-        let before = self.clone();
+        let mut changed = false;
         for i in 0..32 {
-            self.x[i] = self.x[i].join(other.x[i]);
-            self.xr[i] = before.xr[i].join_widen(other.xr[i], WIDEN_WIDTH);
-            self.xi[i] = self.xi[i].join(other.xi[i]);
-            self.fi[i] = self.fi[i].join(other.fi[i]);
-            self.vi[i] = self.vi[i].join(other.vi[i]);
+            changed |= join_into(&mut self.x[i], other.x[i], Cv::join);
+            changed |= join_into(&mut self.xr[i], other.xr[i], |a, b| a.join_widen(b, WIDEN_WIDTH));
+            changed |= join_into(&mut self.xi[i], other.xi[i], Init::join);
+            changed |= join_into(&mut self.fi[i], other.fi[i], Init::join);
+            changed |= join_into(&mut self.vi[i], other.vi[i], Init::join);
         }
-        self.vl = self.vl.join(other.vl);
-        self.vl_set = self.vl_set.join(other.vl_set);
-        self.mvl = self.mvl.join(other.mvl);
-        self.vm_set = self.vm_set.join(other.vm_set);
-        *self != before
+        changed |= join_into(&mut self.vl, other.vl, Cv::join);
+        changed |= join_into(&mut self.vl_set, other.vl_set, Init::join);
+        changed |= join_into(&mut self.mvl, other.mvl, Cv::join);
+        changed |= join_into(&mut self.vm_set, other.vm_set, Init::join);
+        changed
     }
+}
+
+/// Join `other` into `*slot`; true if that changed it. Every join here
+/// maps equal sides to themselves, so those are skipped.
+fn join_into<T: Copy + PartialEq>(slot: &mut T, other: T, join: impl FnOnce(T, T) -> T) -> bool {
+    if *slot == other {
+        return false;
+    }
+    let new = join(*slot, other);
+    let changed = new != *slot;
+    *slot = new;
+    changed
 }
 
 /// A finding produced by the abstract interpretation, before severity
@@ -182,26 +196,38 @@ impl AbsState {
 pub type RawDiag = (Code, usize, String);
 
 /// Run the forward analysis; returns raw findings in discovery order.
+///
+/// Two passes share one transfer function. The fixpoint pass only moves
+/// state; the emission pass replays each reachable block once from its
+/// fixed input and runs the checks. The checks read the state and never
+/// write it, so running them only while emitting leaves the fixpoint as
+/// it is.
 pub fn run(cfg: &Cfg, prog: &Program, opts: &Options) -> Vec<RawDiag> {
     let nb = cfg.blocks.len();
     let mut input: Vec<AbsState> = (0..nb).map(|_| AbsState::bottom()).collect();
     input[cfg.entry] = AbsState::entry();
 
-    // Fixpoint over reverse post-order.
+    // Fixpoint over reverse post-order. A block whose input has not
+    // changed since its last visit is skipped: it would produce the same
+    // output, and re-joining an output a successor already absorbed is a
+    // no-op (`join_widen(x, y) == x` when `y ⊑ x`; the flat joins are
+    // idempotent), so the iterates are those of the full round-robin.
     let order = cfg.rpo();
+    let mut dirty = vec![true; nb];
     let mut changed = true;
     while changed {
         changed = false;
         for &b in &order {
-            if input[b].bot {
+            if input[b].bot || !std::mem::replace(&mut dirty[b], false) {
                 continue;
             }
             let mut st = input[b].clone();
             for i in cfg.blocks[b].start..cfg.blocks[b].end {
-                transfer(&cfg.insts[i], i, &mut st, prog, opts, None);
+                transfer(cfg, i, &mut st, prog, opts, None);
             }
             for &s in &cfg.blocks[b].succs {
                 if input[s].join_from(&st) {
+                    dirty[s] = true;
                     changed = true;
                 }
             }
@@ -216,75 +242,39 @@ pub fn run(cfg: &Cfg, prog: &Program, opts: &Options) -> Vec<RawDiag> {
         }
         let mut st = input[b].clone();
         for i in cfg.blocks[b].start..cfg.blocks[b].end {
-            transfer(&cfg.insts[i], i, &mut st, prog, opts, Some(&mut out));
+            transfer(cfg, i, &mut st, prog, opts, Some(&mut out));
         }
     }
     out
 }
 
-/// Apply one instruction to the abstract state, optionally emitting
-/// findings. The emission-pass replay must take exactly the same state
-/// transitions as the fixpoint pass, so all mutation lives here.
+/// Apply instruction `sidx` to the abstract state, emitting findings when
+/// `sink` is present. The emission-pass replay must take exactly the same
+/// state transitions as the fixpoint pass, so all mutation lives here;
+/// every check only reads `st`, and messages are formatted only when
+/// emitted.
 fn transfer(
-    inst: &Inst,
+    cfg: &Cfg,
     sidx: usize,
     st: &mut AbsState,
     prog: &Program,
     opts: &Options,
     mut sink: Option<&mut Vec<RawDiag>>,
 ) {
+    let inst = &cfg.insts[sidx];
+    let (defs, uses) = &cfg.regs[sidx];
     let (rd, rs1) = (inst.rd, inst.rs1);
-    let mut emit = |code: Code, msg: String| {
+    let emitting = sink.is_some();
+    let mut emit = |code: Code, msg: fmt::Arguments<'_>| {
         if let Some(s) = sink.as_deref_mut() {
-            s.push((code, sidx, msg));
+            s.push((code, sidx, msg.to_string()));
         }
     };
 
-    // --- use checks -------------------------------------------------------
-    let (defs, uses) = inst.defs_uses();
-    let zero_idiom = inst.is_zero_idiom();
-    for u in &uses {
-        match *u {
-            RegRef::I(r) => {
-                if !zero_idiom {
-                    check_init(st.xi[r as usize], format!("x{r}"), &mut emit);
-                }
-            }
-            RegRef::F(r) => check_init(st.fi[r as usize], format!("f{r}"), &mut emit),
-            RegRef::V(r) => {
-                if !zero_idiom {
-                    check_init(st.vi[r as usize], format!("v{r}"), &mut emit);
-                }
-            }
-            RegRef::Vl => {
-                if inst.op.class().is_vector() && st.vl_set != Init::Yes {
-                    let how = if st.vl_set == Init::No { "never" } else { "not on every path" };
-                    emit(
-                        Code::VlReset,
-                        format!(
-                            "vector instruction executes with `vl` {how} set by `setvl` \
-                             (reset value is the full MVL)"
-                        ),
-                    );
-                }
-            }
-            RegRef::Vm => {
-                let meaningful = inst.masked
-                    || matches!(inst.op, Op::Vmerge | Op::Vpopc | Op::Vmfirst | Op::Vmgetb);
-                if meaningful && st.vm_set == Init::No {
-                    emit(
-                        Code::MaskReset,
-                        "mask-consuming operation with `vm` never written \
-                         (reset mask enables every lane)"
-                            .to_string(),
-                    );
-                }
-            }
-        }
+    if emitting {
+        check_uses(inst, uses, st, &mut emit);
+        check_memory(inst, st, prog, opts, &mut emit);
     }
-
-    // --- memory checks ----------------------------------------------------
-    check_memory(inst, st, prog, opts, &mut emit);
 
     // --- vl / vltcfg semantics -------------------------------------------
     match inst.op {
@@ -293,14 +283,14 @@ fn transfer(
             if req == Cv::K(0) {
                 emit(
                     Code::ZeroVl,
-                    "`setvl` request is statically zero — dynamic `ZeroVl` fault".to_string(),
+                    format_args!("`setvl` request is statically zero — dynamic `ZeroVl` fault"),
                 );
             }
             if let (Some(r), Some(m)) = (req.known(), st.mvl.known()) {
                 if r > m && rd == 0 {
                     emit(
                         Code::SetvlDiscardsClamp,
-                        format!(
+                        format_args!(
                             "request {r} exceeds the partition MVL {m} and the clamped \
                              result is discarded (rd = x0)"
                         ),
@@ -326,7 +316,7 @@ fn transfer(
                         if v > new_mvl {
                             emit(
                                 Code::VltcfgClampsVl,
-                                format!(
+                                format_args!(
                                     "partition MVL {new_mvl} is below the current vl {v}; \
                                      the stale vl is silently clamped — `vltcfg` before `setvl`"
                                 ),
@@ -337,7 +327,7 @@ fn transfer(
                 } else {
                     emit(
                         Code::BadVltCfg,
-                        format!(
+                        format_args!(
                             "operand {tv} is not a valid threads x clusters \
                              encoding — dynamic fault"
                         ),
@@ -361,8 +351,8 @@ fn transfer(
     let ivl = int_interval(inst, st, val);
 
     // --- apply defs -------------------------------------------------------
-    for d in &defs {
-        match *d {
+    for &d in defs {
+        match d {
             RegRef::I(r) => {
                 st.xi[r as usize] = Init::Yes;
                 st.x[r as usize] = val;
@@ -381,6 +371,50 @@ fn transfer(
     }
 }
 
+/// Definedness of every register the instruction reads, plus the reset-
+/// state hazards of `vl` and `vm`.
+fn check_uses(
+    inst: &Inst,
+    uses: &[RegRef],
+    st: &AbsState,
+    emit: &mut impl FnMut(Code, fmt::Arguments<'_>),
+) {
+    let zero_idiom = inst.is_zero_idiom();
+    for &u in uses {
+        match u {
+            RegRef::I(r) if !zero_idiom => check_init(st.xi[r as usize], u, emit),
+            RegRef::F(r) => check_init(st.fi[r as usize], u, emit),
+            RegRef::V(r) if !zero_idiom => check_init(st.vi[r as usize], u, emit),
+            RegRef::I(_) | RegRef::V(_) => {}
+            RegRef::Vl => {
+                if inst.op.class().is_vector() && st.vl_set != Init::Yes {
+                    let how = if st.vl_set == Init::No { "never" } else { "not on every path" };
+                    emit(
+                        Code::VlReset,
+                        format_args!(
+                            "vector instruction executes with `vl` {how} set by `setvl` \
+                             (reset value is the full MVL)"
+                        ),
+                    );
+                }
+            }
+            RegRef::Vm => {
+                let meaningful = inst.masked
+                    || matches!(inst.op, Op::Vmerge | Op::Vpopc | Op::Vmfirst | Op::Vmgetb);
+                if meaningful && st.vm_set == Init::No {
+                    emit(
+                        Code::MaskReset,
+                        format_args!(
+                            "mask-consuming operation with `vm` never written \
+                             (reset mask enables every lane)"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The interval a `vl`-valued result lies in: exact when the constant
 /// lattice pins it, else `[1, mvl]` (a live `vl` is never zero).
 fn vl_interval(st: &AbsState) -> Iv {
@@ -390,16 +424,18 @@ fn vl_interval(st: &AbsState) -> Iv {
     }
 }
 
-fn check_init(init: Init, reg: String, emit: &mut impl FnMut(Code, String)) {
+fn check_init(init: Init, reg: RegRef, emit: &mut impl FnMut(Code, fmt::Arguments<'_>)) {
     match init {
         Init::Yes => {}
         Init::No => emit(
             Code::UndefRead,
-            format!("{reg} is read but never written on any path from entry (reads reset zero)"),
+            format_args!(
+                "{reg} is read but never written on any path from entry (reads reset zero)"
+            ),
         ),
         Init::Maybe => emit(
             Code::MaybeUndefRead,
-            format!("{reg} is read but written on only some paths from entry"),
+            format_args!("{reg} is read but written on only some paths from entry"),
         ),
     }
 }
@@ -482,7 +518,7 @@ fn check_memory(
     st: &AbsState,
     prog: &Program,
     opts: &Options,
-    emit: &mut impl FnMut(Code, String),
+    emit: &mut impl FnMut(Code, fmt::Arguments<'_>),
 ) {
     use vlt_isa::OpClass;
     let class = inst.op.class();
@@ -574,12 +610,12 @@ fn check_addr_range(
     write: bool,
     prog: &Program,
     opts: &Options,
-    emit: &mut impl FnMut(Code, String),
+    emit: &mut impl FnMut(Code, fmt::Arguments<'_>),
 ) {
     let (code, what) =
         if write { (Code::OobWrite, "store to") } else { (Code::OobRead, "load from") };
     if hi < 0 {
-        emit(code, format!("{what} a negative address (all of [{lo:#x}, {hi:#x}])"));
+        emit(code, format_args!("{what} a negative address (all of [{lo:#x}, {hi:#x}])"));
         return;
     }
     let data_end = DATA_BASE + prog.data.len() as u64;
@@ -592,7 +628,7 @@ fn check_addr_range(
     if !touches(DATA_BASE as i64, read_end) && !touches(STACK_BASE as i64, stack_end) {
         emit(
             code,
-            format!(
+            format_args!(
                 "{what} [{lo:#x}, {hi:#x}]: every possible address lies outside the \
                  data segment [{DATA_BASE:#x}, {data_end:#x}) and the stack region"
             ),
@@ -606,19 +642,19 @@ fn check_addr(
     write: bool,
     prog: &Program,
     opts: &Options,
-    emit: &mut impl FnMut(Code, String),
+    emit: &mut impl FnMut(Code, fmt::Arguments<'_>),
 ) {
     let (code, what) =
         if write { (Code::OobWrite, "store to") } else { (Code::OobRead, "load from") };
     if addr < 0 {
-        emit(code, format!("{what} negative address {addr:#x}"));
+        emit(code, format_args!("{what} negative address {addr:#x}"));
         return;
     }
     let a = addr as u64;
     if !a.is_multiple_of(size as u64) {
         emit(
             Code::Misaligned,
-            format!("address {a:#x} is not aligned to the {size}-byte element size"),
+            format_args!("address {a:#x} is not aligned to the {size}-byte element size"),
         );
     }
     let data_end = DATA_BASE + prog.data.len() as u64;
@@ -632,7 +668,7 @@ fn check_addr(
             if (TEXT_BASE..text_end).contains(&a) { " (inside the text segment)" } else { "" };
         emit(
             code,
-            format!(
+            format_args!(
                 "{what} {a:#x}{region}, outside the data segment \
                  [{DATA_BASE:#x}, {data_end:#x}) and the stack region"
             ),

@@ -7,7 +7,7 @@
 //! analysis reports [`crate::Code::IndirectFlow`] so the partiality is
 //! visible.
 
-use vlt_isa::{Inst, Op};
+use vlt_isa::{Inst, Op, RegRef};
 
 /// How a basic block ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +53,10 @@ pub struct Block {
 pub struct Cfg {
     /// Decoded text, one entry per instruction.
     pub insts: Vec<Inst>,
+    /// Each instruction's `(defs, uses)` ([`Inst::defs_uses`]), computed
+    /// once here so that the dataflow passes, which revisit every
+    /// instruction once per sweep, allocate nothing per visit.
+    pub regs: Vec<(Vec<RegRef>, Vec<RegRef>)>,
     /// Basic blocks in text order.
     pub blocks: Vec<Block>,
     /// Map from instruction index to owning block id.
@@ -179,7 +183,8 @@ impl Cfg {
         }
 
         let entry = block_of[0];
-        Cfg { insts, blocks, block_of, entry, wild_targets, has_indirect }
+        let regs = insts.iter().map(Inst::defs_uses).collect();
+        Cfg { insts, regs, blocks, block_of, entry, wild_targets, has_indirect }
     }
 
     /// Blocks reachable from the entry block.

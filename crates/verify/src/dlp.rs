@@ -416,9 +416,14 @@ struct Walker<'a> {
 /// move lane data into it (those paths defeat the two-run linearity
 /// argument — see the module docs).
 fn accel_candidates(prog: &DecodedProgram) -> BTreeMap<usize, AccelBlock> {
+    let mut out = BTreeMap::new();
+    if prog.insts.is_empty() {
+        // No text, no CFG: the walk leaves the text segment at its first
+        // step and reports an empty, inexact profile.
+        return out;
+    }
     let insts: Vec<_> = prog.insts.iter().map(|si| si.inst).collect();
     let cfg = Cfg::build(insts);
-    let mut out = BTreeMap::new();
     'blocks: for (bid, b) in cfg.blocks.iter().enumerate() {
         let Term::Branch { taken, .. } = b.term else { continue };
         if taken != bid || b.end == b.start {

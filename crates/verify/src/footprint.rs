@@ -1888,8 +1888,7 @@ impl Runner<'_> {
 
             _ => {
                 // Anything unmodeled: clobber its definitions soundly.
-                let (defs, _) = inst.defs_uses();
-                for d in defs {
+                for &d in &self.cfg.regs[sidx].0 {
                     match d {
                         vlt_isa::RegRef::I(r) => set(st, r, Val::Top),
                         vlt_isa::RegRef::V(r) => {

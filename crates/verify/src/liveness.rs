@@ -75,17 +75,18 @@ impl Live {
     }
 }
 
-/// Backward transfer of one instruction over a live-out set.
-fn step_back(inst: &Inst, live: &mut Live) {
-    let (defs, uses) = inst.defs_uses();
+/// Backward transfer of instruction `i` over a live-out set.
+fn step_back(cfg: &Cfg, i: usize, live: &mut Live) {
+    let inst = &cfg.insts[i];
+    let (defs, uses) = &cfg.regs[i];
     if !inst.is_partial_def() {
-        for d in &defs {
-            live.clear(*d);
+        for &d in defs {
+            live.clear(d);
         }
     }
     if !inst.is_zero_idiom() {
-        for u in &uses {
-            live.set(*u);
+        for &u in uses {
+            live.set(u);
         }
     }
 }
@@ -118,7 +119,7 @@ pub fn dead_writes(cfg: &Cfg) -> Vec<RawDiag> {
         for b in (0..nb).rev() {
             let mut live = block_out(cfg, &live_in, b);
             for i in (cfg.blocks[b].start..cfg.blocks[b].end).rev() {
-                step_back(&cfg.insts[i], &mut live);
+                step_back(cfg, i, &mut live);
             }
             if live != live_in[b] {
                 live_in[b] = live;
@@ -135,7 +136,7 @@ pub fn dead_writes(cfg: &Cfg) -> Vec<RawDiag> {
         let mut found: Vec<RawDiag> = Vec::new();
         for i in (cfg.blocks[b].start..cfg.blocks[b].end).rev() {
             let inst = &cfg.insts[i];
-            let (defs, _) = inst.defs_uses();
+            let defs = &cfg.regs[i].0;
             if pure_def(inst) && !defs.is_empty() && defs.iter().all(|d| !live.contains(*d)) {
                 let names: Vec<String> = defs.iter().map(|d| format!("{d}")).collect();
                 found.push((
@@ -144,7 +145,7 @@ pub fn dead_writes(cfg: &Cfg) -> Vec<RawDiag> {
                     format!("{} is written but never read afterwards", names.join(", ")),
                 ));
             }
-            step_back(inst, &mut live);
+            step_back(cfg, i, &mut live);
         }
         found.reverse();
         out.extend(found);

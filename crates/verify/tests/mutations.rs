@@ -1,266 +1,38 @@
-//! Mutation corpus: ~25 seeded kernel defects, each of which the verifier
-//! must flag with the expected lint code. The unmutated base kernel must
-//! be completely clean, so every finding below is attributable to the
-//! seeded defect.
-//!
-//! The base kernel is a realistic strip-mined SPMD saxpy: `vltcfg`
-//! partitioning, per-thread ranges off `tid`, constant-folded `la`/`li`
-//! address arithmetic, a `setvl` strip loop, and a converged barrier —
-//! the same shapes the nine workloads use.
+//! Mutation corpus: ~25 seeded kernel defects (`support::lint_mutants`),
+//! each of which the verifier must flag with the expected lint code. The
+//! unmutated base kernel must be completely clean, so every finding is
+//! attributable to the seeded defect.
 
+mod support;
+
+use support::{lint_mutants, LINT_BASE};
 use vlt_verify::{verify_source, Code};
-
-/// The defect-free base kernel (64 doubles of x and y, y += 2*x).
-const BASE: &str = r#"
-    .data
-xs: .double 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0
-    .zero 448
-ys: .double 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
-    .zero 448
-    .text
-    li      x9, 4
-    vltcfg  x9
-    tid     x10
-    li      x11, 16            # elems per thread
-    mul     x12, x10, x11      # lo
-    add     x13, x12, x11      # hi
-    la      x20, xs
-    la      x21, ys
-    li      x4, 2
-    fcvt.f.x f1, x4            # a = 2.0
-    mv      x14, x12           # i
-loop:
-    sub     x3, x13, x14
-    setvl   x2, x3
-    slli    x4, x14, 3
-    add     x5, x20, x4
-    vld     v1, x5             # x[i..]
-    add     x6, x21, x4
-    vld     v2, x6             # y[i..]
-    vfma.vs v2, v1, f1         # y += a*x
-    vst     v2, x6
-    add     x14, x14, x2
-    blt     x14, x13, loop
-    barrier
-    halt
-"#;
 
 #[test]
 fn base_kernel_is_clean() {
-    let r = verify_source(BASE).unwrap();
+    let r = verify_source(LINT_BASE).unwrap();
     assert_eq!(r.diags.len(), 0, "base kernel must be spotless:\n{r}");
 }
 
-/// Apply a single textual mutation to the base kernel.
-fn mutate(from: &str, to: &str) -> String {
-    assert!(BASE.contains(from), "mutation site `{from}` not in base");
-    BASE.replacen(from, to, 1)
-}
-
-/// Verify a mutant and assert the expected code fires.
-fn expect_flag(src: &str, code: Code, what: &str) {
-    let r = verify_source(src).unwrap_or_else(|e| panic!("{what}: assembly failed: {e}"));
-    assert!(r.flags(code), "{what}: expected {code} to fire, got:\n{r}");
-}
-
-// --- vl / vltcfg state defects -----------------------------------------
-
 #[test]
-fn dropped_setvl() {
-    // The strip loop runs at the reset MVL and the loop induction reads an
-    // undefined trip register.
-    let src = mutate("    setvl   x2, x3\n", "");
-    expect_flag(&src, Code::VlReset, "dropped setvl");
-    expect_flag(&src, Code::UndefRead, "dropped setvl (x2 never written)");
-}
-
-#[test]
-fn dropped_li_before_setvl() {
-    let src = mutate("    li      x11, 16            # elems per thread\n", "");
-    expect_flag(&src, Code::UndefRead, "dropped li feeding the range");
-}
-
-#[test]
-fn setvl_request_statically_zero() {
-    expect_flag("li x1, 0\nsetvl x2, x1\nhalt\n", Code::ZeroVl, "setvl of constant zero");
-}
-
-#[test]
-fn vltcfg_bad_thread_count() {
-    let src = mutate("li      x9, 4", "li      x9, 3");
-    expect_flag(&src, Code::BadVltCfg, "vltcfg 3");
-}
-
-#[test]
-fn vltcfg_uninitialized_register() {
-    let src = mutate("    li      x9, 4\n", "");
-    expect_flag(&src, Code::UndefRead, "vltcfg of uninitialized register");
-}
-
-#[test]
-fn vltcfg_after_setvl_ordering_slip() {
-    expect_flag(
-        "li x1, 64\nsetvl x2, x1\nli x9, 4\nvltcfg x9\nsd x2, -8(sp)\nhalt\n",
-        Code::VltcfgClampsVl,
-        "vltcfg after setvl",
-    );
-}
-
-#[test]
-fn setvl_discards_clamped_result() {
-    expect_flag(
-        "li x9, 4\nvltcfg x9\nli x1, 64\nsetvl x0, x1\nhalt\n",
-        Code::SetvlDiscardsClamp,
-        "setvl x0 with request > MVL",
-    );
-}
-
-// --- def-before-use defects --------------------------------------------
-
-#[test]
-fn swapped_operands_read_result_register() {
-    // `add x5, x20, x4` mistyped so the base comes from a never-written reg.
-    let src = mutate("add     x5, x20, x4", "add     x5, x25, x4");
-    expect_flag(&src, Code::UndefRead, "swapped base register");
-}
-
-#[test]
-fn dropped_fp_init() {
-    let src = mutate("    li      x4, 2\n    fcvt.f.x f1, x4            # a = 2.0\n", "");
-    expect_flag(&src, Code::UndefRead, "f1 read but never written");
-}
-
-#[test]
-fn vector_register_typo() {
-    // The FMA consumes v3, which no instruction writes.
-    let src = mutate("vfma.vs v2, v1, f1", "vfma.vs v2, v3, f1");
-    expect_flag(&src, Code::UndefRead, "v3 read but never written");
-}
-
-#[test]
-fn init_on_one_path_only() {
-    expect_flag(
-        "tid x1\nbeqz x1, skip\nli x5, 7\nskip:\nsd x5, -8(sp)\nhalt\n",
-        Code::MaybeUndefRead,
-        "x5 written on one branch side only",
-    );
-}
-
-// --- memory defects -----------------------------------------------------
-
-#[test]
-fn oob_base_address_read() {
-    // The vld base overwritten with a small constant: the load walks the
-    // unmapped zero page (silent zeros at runtime).
-    let src = mutate("add     x5, x20, x4", "li      x5, 64");
-    expect_flag(&src, Code::OobRead, "bogus base address");
-}
-
-#[test]
-fn oob_store_past_data() {
-    expect_flag(
-        ".data\nxs: .dword 1\n.text\nla x1, xs\nsd x0, 4096(x1)\nhalt\n",
-        Code::OobWrite,
-        "store far past the data image",
-    );
-}
-
-#[test]
-fn misaligned_scalar_load() {
-    expect_flag(
-        ".data\nxs: .dword 1\n.text\nla x1, xs\nld x2, 3(x1)\nsd x2, -8(sp)\nhalt\n",
-        Code::Misaligned,
-        "ld at offset 3",
-    );
-}
-
-#[test]
-fn vector_footprint_past_data_end() {
-    expect_flag(
-        ".data\nys: .dword 1\n.text\nli x1, 32\nsetvl x0, x1\nla x2, ys\nvld v1, x2\nhalt\n",
-        Code::OobRead,
-        "vld footprint past the data image",
-    );
-}
-
-#[test]
-fn strided_store_escapes_data() {
-    expect_flag(
-        ".data\nys: .zero 64\n.text\nli x1, 8\nsetvl x0, x1\nvid v1\nla x2, ys\n\
-         li x3, 4096\nvsts v1, x2, x3\nhalt\n",
-        Code::OobWrite,
-        "strided store with a huge stride",
-    );
-}
-
-// --- SPMD convergence defects ------------------------------------------
-
-#[test]
-fn divergent_barrier() {
-    // Only threads with tid != 0 reach the barrier: static deadlock risk.
-    let src = mutate(
-        "    barrier\n",
-        "    bnez    x10, join\n    j       out\njoin:\n    barrier\nout:\n",
-    );
-    expect_flag(&src, Code::DivergentBarrier, "barrier on one branch side");
-}
-
-#[test]
-fn divergent_vltcfg() {
-    expect_flag(
-        "tid x1\nbnez x1, cfg\nj done\ncfg:\nli x2, 4\nvltcfg x2\ndone:\nhalt\n",
-        Code::DivergentVltcfg,
-        "vltcfg on one branch side",
-    );
-}
-
-// --- structural defects -------------------------------------------------
-
-#[test]
-fn missing_halt_falls_off_end() {
-    let src = mutate("    barrier\n    halt\n", "    barrier\n");
-    expect_flag(&src, Code::OffEnd, "no halt at the end");
-}
-
-#[test]
-fn branch_target_outside_text() {
-    expect_flag("beq x0, x0, 4000\nhalt\n", Code::BadTarget, "branch to a wild offset");
-}
-
-#[test]
-fn unreachable_tail() {
-    expect_flag("halt\nli x1, 1\nsd x1, -8(sp)\nhalt\n", Code::Unreachable, "code after halt");
-}
-
-#[test]
-fn dead_write_is_flagged() {
-    let src = mutate("vst     v2, x6", "vst     v1, x6");
-    expect_flag(&src, Code::DeadWrite, "result vector never stored");
-}
-
-#[test]
-fn masked_op_with_mask_never_set() {
-    expect_flag(
-        "li x1, 8\nsetvl x0, x1\nvid v1\nvadd.vv v2, v1, v1, vm\nvst v2, sp\nhalt\n",
-        Code::MaskReset,
-        "masked op with vm at reset",
-    );
-}
-
-#[test]
-fn vector_op_with_vl_at_reset() {
-    expect_flag("vid v1\nvst v1, sp\nhalt\n", Code::VlReset, "vector op before setvl");
-}
-
-#[test]
-fn indirect_flow_is_reported() {
-    expect_flag("li x1, 4096\njr x1\nhalt\n", Code::IndirectFlow, "jr present");
+fn every_mutant_is_flagged() {
+    let mut missed = Vec::new();
+    for m in lint_mutants() {
+        let r =
+            verify_source(&m.src).unwrap_or_else(|e| panic!("{}: assembly failed: {e}", m.name));
+        for &code in m.codes {
+            if !r.flags(code) {
+                missed.push(format!("{}: expected {code} to fire, got:\n{r}", m.name));
+            }
+        }
+    }
+    assert!(missed.is_empty(), "{}", missed.join("\n"));
 }
 
 #[test]
 fn corrupt_encoding() {
     use vlt_isa::asm::assemble;
-    let mut p = assemble(BASE).unwrap();
+    let mut p = assemble(LINT_BASE).unwrap();
     p.text[3] = 0xFE00_0001; // no such opcode
     let r = vlt_verify::verify(&p);
     assert!(r.flags(Code::BadEncoding), "{r}");
