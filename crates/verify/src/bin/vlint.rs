@@ -91,8 +91,10 @@ fn parse_args() -> Result<Option<Cli>, String> {
                 let v = &a["--dlp=".len()..];
                 let n: usize =
                     v.parse().map_err(|_| format!("--dlp needs a thread count, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--dlp thread count must be at least 1".to_string());
+                // The walk keeps a shadow state and an address arena per
+                // thread; 64 is the functional simulator's limit too.
+                if !(1..=64).contains(&n) {
+                    return Err(format!("--dlp thread count must be between 1 and 64, got {n}"));
                 }
                 cli.dlp = Some(Some(n));
             }

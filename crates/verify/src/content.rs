@@ -1,59 +1,24 @@
-//! Content-aware analysis support (DESIGN.md §14).
+//! Content-aware analysis support (DESIGN.md §14): value hulls that flow
+//! *through memory*.
 //!
 //! The affine footprint machinery reasons about *index expressions*; this
-//! module adds the two facilities that let the verifiers reason about
-//! *values flowing through memory*:
+//! module lets it reason about *values loaded from memory*:
 //!
 //! * [`DataHull`] — chunked min/max summaries of the initial data image,
 //!   so a vector load over a statically bounded address window folds to a
 //!   bounded value hull without rescanning the image on every fixpoint
-//!   sweep ([`crate::footprint`]'s `try_vfold`), and [`Overlay`] — the
-//!   store-value side of the same idea: the hull of every value a
-//!   program's stores may write into a range, built by `races` from the
-//!   converged per-thread runs and consulted when a fold's span is not
-//!   store-free. Together they make "a store of a known-range value
-//!   bounds a later indexed load" a static fact.
+//!   sweep ([`crate::footprint`]'s `try_vfold`);
+//! * [`Overlay`] — the store-value side of the same idea: the hull of
+//!   every value a program's stores may write into a range, built by
+//!   `races` from the converged per-thread runs and consulted when a
+//!   fold's span is not store-free.
 //!
-//! * [`observe`] — the *epoch-synchronous observed walk*: a concrete
-//!   execution under [`vlt_exec::FuncSim`] that records, per thread, the
-//!   exact per-(site, barrier-epoch) access *sets* and cross-checks them
-//!   for same-epoch conflicts. A conflict-free complete walk certifies the
-//!   sets as schedule-independent (see the soundness argument below), so
-//!   the race analysis can consume two lemmas from them:
-//!
-//!   - **partition**: per-epoch hulls that never overlap across threads
-//!     (indices confined to per-thread disjoint value ranges) kill the
-//!     overlap candidate outright;
-//!   - **injectivity/permutation**: hulls that *do* overlap but whose
-//!     exact access sets are disjoint — radix's scatter through an
-//!     exclusive prefix sum is write-disjoint even though every thread's
-//!     destination hull spans the whole output array.
-//!
-//! # Soundness of the observed walk
-//!
-//! Programs are deterministic given a schedule; the only nondeterminism is
-//! the interleaving of threads between barriers. Induction over barrier
-//! epochs: suppose every epoch `< k` of the canonical walk is conflict-free
-//! (no same-epoch cross-thread overlap with a write, compared as *sets*,
-//! so the claim is order-independent within the epoch). Then memory at the
-//! start of epoch `k` is the same under every schedule, each thread's
-//! epoch-`k` execution depends only on that state and its own private
-//! state, and the epoch-`k` access sets are schedule-independent. A
-//! conflict-free *complete* walk therefore yields access sets valid for
-//! every interleaving. Any conflict, fault, budget exhaustion, or record
-//! overflow makes [`observe`] return `None` — the analysis simply claims
-//! nothing and the symbolic diagnostics stand.
+//! Together they make "a store of a known-range value bounds a later
+//! indexed load" a static fact. What a concrete run certifies about
+//! access *sets* (the partition and permutation lemmas the race analysis
+//! prunes with) comes from the DLP walk, [`crate::dlp::site_bounds`].
 
-use std::collections::BTreeMap;
-
-use vlt_exec::{DynKind, EngineMode, FuncSim, Step};
-use vlt_isa::{OpClass, Program, DATA_BASE};
-
-use crate::dlp::SiteBounds;
-
-// ---------------------------------------------------------------------------
-// Static half: data-image value hulls and the store-value overlay
-// ---------------------------------------------------------------------------
+use vlt_isa::DATA_BASE;
 
 /// Words per summary chunk (64 dwords = 512 bytes).
 const CHUNK: usize = 64;
@@ -159,219 +124,9 @@ impl Overlay {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dynamic half: the epoch-synchronous observed walk
-// ---------------------------------------------------------------------------
-
-/// Per-(site, epoch) range lists kept before collapsing to a hull. The
-/// cap must comfortably exceed the element count of the scatters we want
-/// the permutation lemma to certify — a collapsed hull can only prune,
-/// never distinguish interleaved-but-disjoint sets.
-const MAX_RANGES: usize = 8192;
-/// Per-thread cap on distinct (site, epoch) keys.
-const MAX_KEYS: usize = 1 << 16;
-
-/// Insert `[lo, hi)` into a sorted, disjoint, coalesced range list.
-fn insert_range(list: &mut Vec<(u64, u64)>, lo: u64, hi: u64) {
-    if lo >= hi {
-        return;
-    }
-    // Find the first range whose end reaches `lo` (merge candidate).
-    let i = list.partition_point(|&(_, e)| e < lo);
-    let mut j = i;
-    let (mut lo, mut hi) = (lo, hi);
-    while j < list.len() && list[j].0 <= hi {
-        lo = lo.min(list[j].0);
-        hi = hi.max(list[j].1);
-        j += 1;
-    }
-    list.splice(i..j, [(lo, hi)]);
-    if list.len() > MAX_RANGES {
-        // Collapse to the hull: an over-approximation is sound both for
-        // pruning (superset) and for conflict detection (false conflicts
-        // only make `observe` return `None`).
-        let hull = (list[0].0, list[list.len() - 1].1);
-        list.clear();
-        list.push(hull);
-    }
-}
-
-/// Do two sorted disjoint range lists intersect?
-pub(crate) fn ranges_overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].0 < b[j].1 && b[j].0 < a[i].1 {
-            return true;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    false
-}
-
-/// Union of sorted disjoint range lists.
-fn union_ranges(lists: &[&Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
-    let mut all: Vec<(u64, u64)> = lists.iter().flat_map(|l| l.iter().copied()).collect();
-    all.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(all.len());
-    for (lo, hi) in all {
-        match out.last_mut() {
-            Some((_, e)) if lo <= *e => *e = (*e).max(hi),
-            _ => out.push((lo, hi)),
-        }
-    }
-    out
-}
-
-/// Run the program concretely at `threads` threads (interpreter engine,
-/// round-robin batched to barriers — the canonical schedule) and return
-/// each thread's exact per-(site, barrier-epoch) access sets, or `None`
-/// unless the walk completes conflict-free within `budget` steps (see the
-/// module docs for why conflict-freedom certifies schedule independence).
-pub(crate) fn observe(prog: &Program, threads: usize, budget: u64) -> Option<Vec<SiteBounds>> {
-    if threads == 0 || threads > 64 || prog.text.is_empty() {
-        return None;
-    }
-    let mut sim = FuncSim::new(prog, threads).with_engine(EngineMode::Interp);
-    let mut epoch = vec![0u64; threads];
-    let mut sets: Vec<SiteBounds> = vec![BTreeMap::new(); threads];
-    let mut keys = vec![0usize; threads];
-    let mut steps = 0u64;
-    while !sim.all_halted() {
-        let mut progressed = false;
-        for t in 0..threads {
-            loop {
-                let d = match sim.step_thread(t) {
-                    Ok(Step::Inst(d)) => d,
-                    Ok(Step::AtBarrier | Step::Halted) => break,
-                    Err(_) => return None,
-                };
-                progressed = true;
-                steps += 1;
-                if steps > budget {
-                    return None;
-                }
-                let sidx = d.sidx as usize;
-                match d.kind {
-                    DynKind::Barrier => {
-                        epoch[t] += 1;
-                        break;
-                    }
-                    DynKind::Halt => break,
-                    DynKind::Mem { addr, size } => {
-                        record(&mut sets[t], &mut keys[t], sidx, epoch[t], addr, u64::from(size))?;
-                    }
-                    DynKind::VMem { addrs } => {
-                        // One borrow per instruction: copy out the element
-                        // addresses (bounded by MAX_VL) before recording.
-                        let elems: Vec<u64> = sim.addrs(addrs).to_vec();
-                        for a in elems {
-                            record(&mut sets[t], &mut keys[t], sidx, epoch[t], a, 8)?;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if !progressed && !sim.all_halted() {
-            return None; // barrier deadlock: claim nothing
-        }
-    }
-
-    if conflict_free(&sim, &sets) {
-        Some(sets)
-    } else {
-        None
-    }
-}
-
-fn record(
-    m: &mut SiteBounds,
-    keys: &mut usize,
-    sidx: usize,
-    epoch: u64,
-    addr: u64,
-    size: u64,
-) -> Option<()> {
-    let per_epoch = m.entry(sidx).or_default();
-    if !per_epoch.contains_key(&epoch) {
-        *keys += 1;
-        if *keys > MAX_KEYS {
-            return None;
-        }
-    }
-    insert_range(per_epoch.entry(epoch).or_default(), addr, addr.checked_add(size)?);
-    Some(())
-}
-
-/// Same-epoch cross-thread conflict scan over the complete walk: for each
-/// epoch, the union of one thread's write ranges must be disjoint from
-/// every other thread's read and write unions. Read/read sharing is fine.
-fn conflict_free(sim: &FuncSim, sets: &[SiteBounds]) -> bool {
-    /// Byte ranges, `(start, end)` exclusive.
-    type Ranges = Vec<(u64, u64)>;
-    let is_write =
-        |sidx: usize| matches!(sim.prog.get(sidx).class, OpClass::Store | OpClass::VStore);
-    // Per thread, per epoch: merged write and read unions.
-    let mut merged: Vec<BTreeMap<u64, (Ranges, Ranges)>> = Vec::new();
-    for m in sets {
-        let mut per: BTreeMap<u64, (Vec<&Ranges>, Vec<&Ranges>)> = BTreeMap::new();
-        for (&sidx, epochs) in m {
-            for (&e, list) in epochs {
-                let slot = per.entry(e).or_default();
-                if is_write(sidx) {
-                    slot.0.push(list);
-                } else {
-                    slot.1.push(list);
-                }
-            }
-        }
-        merged.push(
-            per.into_iter().map(|(e, (w, r))| (e, (union_ranges(&w), union_ranges(&r)))).collect(),
-        );
-    }
-    for t1 in 0..merged.len() {
-        for t2 in t1 + 1..merged.len() {
-            for (e, (w1, r1)) in &merged[t1] {
-                let Some((w2, r2)) = merged[t2].get(e) else { continue };
-                if ranges_overlap(w1, w2) || ranges_overlap(w1, r2) || ranges_overlap(r1, w2) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlt_isa::asm::assemble;
-
-    #[test]
-    fn range_list_coalesces_and_caps() {
-        let mut l = Vec::new();
-        insert_range(&mut l, 8, 16);
-        insert_range(&mut l, 16, 24); // adjacent: coalesce
-        insert_range(&mut l, 0, 4);
-        assert_eq!(l, vec![(0, 4), (8, 24)]);
-        insert_range(&mut l, 4, 8); // bridges the gap
-        assert_eq!(l, vec![(0, 24)]);
-        for i in 0..2 * MAX_RANGES as u64 {
-            insert_range(&mut l, 100 + 16 * i, 108 + 16 * i);
-        }
-        assert_eq!(l.len(), 1, "saturation collapses to the hull");
-    }
-
-    #[test]
-    fn overlap_scan() {
-        assert!(ranges_overlap(&[(0, 8), (16, 24)], &[(20, 32)]));
-        assert!(!ranges_overlap(&[(0, 8), (16, 24)], &[(8, 16), (24, 40)]));
-        assert!(!ranges_overlap(&[], &[(0, 8)]));
-    }
 
     #[test]
     fn data_hull_summaries() {
@@ -406,62 +161,5 @@ mod tests {
         assert_eq!(unb.query(0, 8), Err(()));
         assert_eq!(unb.query(8, 16), Ok(None));
         assert_eq!(Overlay { poisoned: true, ..Default::default() }.query(0, 0), Err(()));
-    }
-
-    #[test]
-    fn observe_disjoint_tiles_is_some() {
-        let src = ".data\nxs: .space 128\n.text\n\
-                   tid x1\nla x2, xs\nslli x3, x1, 3\nadd x2, x2, x3\n\
-                   sd x1, 0(x2)\nbarrier\nld x4, 0(x2)\nhalt\n";
-        let prog = assemble(src).unwrap();
-        let sets = observe(&prog, 2, 100_000).expect("disjoint tiles are conflict-free");
-        assert_eq!(sets.len(), 2);
-        // Every access either thread makes stays inside its own tile.
-        let tile: Vec<Vec<(u64, u64)>> = sets
-            .iter()
-            .map(|m| {
-                let mut all = Vec::new();
-                for per in m.values() {
-                    for l in per.values() {
-                        for &(lo, hi) in l {
-                            insert_range(&mut all, lo, hi);
-                        }
-                    }
-                }
-                all
-            })
-            .collect();
-        assert!(!tile[0].is_empty() && !tile[1].is_empty());
-        assert!(!ranges_overlap(&tile[0], &tile[1]));
-    }
-
-    #[test]
-    fn observe_same_epoch_conflict_is_none() {
-        let src = ".data\nxs: .dword 0\n.text\n\
-                   la x2, xs\ntid x1\nsd x1, 0(x2)\nbarrier\nhalt\n";
-        let prog = assemble(src).unwrap();
-        assert!(observe(&prog, 2, 100_000).is_none(), "same-slot writes conflict");
-        assert!(observe(&prog, 1, 100_000).is_some(), "single thread cannot conflict");
-    }
-
-    #[test]
-    fn observe_barrier_separated_flag_is_some() {
-        // The `cross_thread_steering_defeats_bounds` shape: the symbolic
-        // walker refuses it, but the observed walk certifies it — the
-        // communication is barrier-separated.
-        let src = ".data\nflag: .dword 0\n.text\n\
-                   tid x1\nla x2, flag\nbne x1, x0, reader\n\
-                   li x3, 1\nsd x3, 0(x2)\nbarrier\nhalt\n\
-                   reader:\nbarrier\nld x4, 0(x2)\nbne x4, x0, done\ndone:\nhalt\n";
-        let prog = assemble(src).unwrap();
-        assert!(observe(&prog, 2, 100_000).is_some());
-    }
-
-    #[test]
-    fn observe_budget_and_faults_give_none() {
-        let p = assemble("loop:\nj loop\n").unwrap();
-        assert!(observe(&p, 1, 1000).is_none());
-        let p2 = assemble("jr x5\n").unwrap(); // wild jump faults
-        assert!(observe(&p2, 1, 1000).is_none());
     }
 }

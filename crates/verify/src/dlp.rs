@@ -1,26 +1,28 @@
-//! Static DLP & occupancy analysis (DESIGN.md §13).
+//! Static DLP & occupancy analysis, and the concrete walk behind the race
+//! checker's site bounds (DESIGN.md §13).
 //!
-//! Predicts, without running the functional simulator's full dynamic
-//! schedule, the Table-4 quantities of the paper — the VL histogram, the
-//! vectorization percentage, the scalar/vector operation ratio, and the
-//! stride/bank behavior of vector memory ops — per program, per `region`
-//! marker, and per barrier epoch, and turns them into VLTCFG partition
-//! advice (`vladvise` in `vlt-bench`, `vlint --dlp` here).
+//! Predicts, without running the functional simulator, the Table-4
+//! quantities of the paper — the VL histogram, the vectorization
+//! percentage, the scalar/vector operation ratio, and the stride/bank
+//! behavior of vector memory ops — per program, per `region` marker, and
+//! per barrier epoch, and turns them into VLTCFG partition advice
+//! (`vladvise` in `vlt-bench`, `vlint --dlp` here). The same walk
+//! certifies the per-(site, epoch) access sets [`site_bounds`] hands the
+//! race analysis.
 //!
 //! # How the analysis stays exact
 //!
-//! The walker drives the real interpreter ([`vlt_exec::interp::step`]) one
-//! thread at a time, so every count it produces is *by construction* the
-//! count [`vlt_exec::RunSummary`] would report — there is no separate
-//! abstract semantics to drift out of sync. Two things are layered on top:
+//! The walker drives the real interpreter ([`vlt_exec::interp::step`]), so
+//! every count it produces is *by construction* the count
+//! [`vlt_exec::RunSummary`] would report — there is no separate abstract
+//! semantics to drift out of sync. Two things are layered on top:
 //!
 //! * a **knownness shadow**: every register and byte of memory is tracked
-//!   as trusted or untrusted. Values become untrusted when they are
-//!   summarized by loop acceleration or (in shared mode) loaded from a
-//!   range another thread writes. The walk *bails* the moment an untrusted
-//!   value would steer control flow, address memory, or set `vl` — so a
-//!   completed walk is exact, and an incomplete one is reported as a
-//!   partial lower bound ([`DlpProfile::exact`] = false, `dlp-inexact`).
+//!   as trusted or untrusted. Values become untrusted when loop
+//!   acceleration summarizes them. The walk *bails* the moment an
+//!   untrusted value would steer control flow, address memory, or set `vl`
+//!   — so a completed walk is exact, and an incomplete one is reported as
+//!   a partial lower bound ([`DlpProfile::exact`] = false, `dlp-inexact`).
 //! * **loop acceleration**: a self-looping basic block whose integer
 //!   effect is verified linear (two trial iterations with equal deltas, a
 //!   fixed point of the block's affine update, hence stable forever) has
@@ -30,16 +32,36 @@
 //!   untrusted rather than guessed, and the solved `k` is clamped to
 //!   windows in which the closed form provably matches the wrapping
 //!   machine arithmetic — underestimating `k` is always safe because the
-//!   loop simply continues concretely.
+//!   loop simply continues concretely. A walk that an untrusted value
+//!   poisons is retried once with acceleration off.
 //!
-//! In shared mode ([`DlpOptions::threads`] > 1) a two-pass scheme makes
-//! the per-thread walks sound without modeling interleavings: pass 1
-//! collects every thread's written ranges optimistically; pass 2 re-walks
-//! each thread with the union of *other* threads' writes as untrusted
-//! ranges. If every thread completes pass 2 exactly, no cross-thread value
-//! ever influenced addresses or control, so the pass-1 addresses are
-//! schedule-independent. This is what lets the race analysis use
-//! [`site_bounds`] to prune statically-disjoint access pairs.
+//! # Threads: one schedule that stands for all of them
+//!
+//! With [`DlpOptions::threads`] > 1 every thread steps its own
+//! architectural state and knownness shadow over one shared memory image
+//! and one set of untrusted bytes, in a fixed *epoch-synchronous*
+//! schedule: each live thread, in thread order, runs up to and including
+//! its next `barrier` (or to `halt`); then the barrier opens and the next
+//! epoch starts. Each thread records, per (site, barrier epoch), the
+//! bytes it accessed; an accelerated loop contributes its extrapolated
+//! span, a superset of what the skipped iterations touched.
+//!
+//! Programs are deterministic given a schedule; the only nondeterminism
+//! is how threads interleave between barriers. Call a *conflict* two
+//! threads touching a common byte in the same epoch, at least one of them
+//! writing. Induction over epochs: if no epoch `< k` has a conflict
+//! (compared as sets, so the claim does not depend on the order inside an
+//! epoch), memory at the start of epoch `k` is the same under every
+//! schedule, each thread's epoch-`k` execution depends only on that
+//! memory and its own state, and its epoch-`k` accesses are the same
+//! under every schedule. A walk in which every thread reaches `halt`
+//! unpoisoned and whose recorded sets hold no conflict is therefore
+//! exact for every interleaving: its counts are the functional
+//! simulator's, and its sets bound every access any schedule makes
+//! ([`site_bounds`]). A conflict leaves the profile inexact with a note
+//! naming the epoch and one site of each thread; a conflicting
+//! accelerated walk is retried without acceleration, whose sets are
+//! exact.
 
 use std::collections::BTreeMap;
 
@@ -55,85 +77,123 @@ use crate::diag::{Code, Diagnostic};
 /// but small enough that `k * per_iteration_counts` cannot overflow `u64`.
 const K_CAP: i128 = 1 << 40;
 
+/// L2 bank count for the bank-conflict classification of strided and
+/// indexed vector memory ops. The timing model's L2 has 16 banks
+/// (`MemConfig::l2_banks`); matching it would change the
+/// `dlp-stride-conflict` findings, so it waits for a deliberate change to
+/// the model.
+const DLP_BANKS: usize = 8;
+
+/// Maximum number of per-barrier-epoch profiles kept; later epochs
+/// accumulate into the last slot.
+const EPOCH_CAP: usize = 64;
+
+/// A (site, epoch) access set of more ranges than this collapses to its
+/// hull. The cap must comfortably exceed the element count of the
+/// scatters the race analysis' permutation lemma certifies: a hull can
+/// only prune, never tell interleaved-but-disjoint sets apart.
+const MAX_RANGES: usize = 8192;
+
+/// Per-thread cap on distinct (site, epoch) access sets.
+const MAX_KEYS: usize = 1 << 16;
+
+/// Concrete steps per thread the [`site_bounds`] walk may take.
+const BOUNDS_BUDGET: u64 = 20_000_000;
+
 /// Options for [`analyze`].
 #[derive(Debug, Clone)]
 pub struct DlpOptions {
     /// Thread count to analyze under (1 = the serial walk).
     pub threads: usize,
-    /// Concrete interpreter steps allowed per thread walk before the
-    /// profile is cut off as a partial lower bound.
+    /// Concrete interpreter steps allowed per thread before the profile is
+    /// cut off as a partial lower bound.
     pub budget: u64,
-    /// Enable loop acceleration (closed-form trip counts). Disabling it
-    /// forces a fully concrete walk, which is exact whenever it finishes
-    /// within budget.
-    pub accelerate: bool,
-    /// L2 bank count for the bank-conflict classification of strided and
-    /// indexed vector memory ops.
-    pub banks: usize,
-    /// Maximum number of per-barrier-epoch profiles kept; later epochs
-    /// accumulate into the last slot.
-    pub epoch_cap: usize,
 }
 
 impl Default for DlpOptions {
     fn default() -> Self {
-        DlpOptions { threads: 1, budget: 50_000_000, accelerate: true, banks: 8, epoch_cap: 64 }
+        DlpOptions { threads: 1, budget: 50_000_000 }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Byte-range set (untrusted memory tracking)
+// Byte-range sets
 // ---------------------------------------------------------------------------
 
-/// A set of disjoint, coalesced half-open byte ranges.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RangeSet {
-    m: BTreeMap<u64, u64>, // start -> end (exclusive)
-}
+/// A set of bytes: disjoint, coalesced half-open ranges sorted by start.
+/// Tracks the walk's untrusted memory and each site's access set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RangeSet(Vec<(u64, u64)>);
 
 impl RangeSet {
+    /// Add `[lo, hi)`, merging every range it overlaps or touches.
     pub(crate) fn insert(&mut self, lo: u64, hi: u64) {
         if lo >= hi {
             return;
         }
-        let (mut lo, mut hi) = (lo, hi);
-        // Merge every range that overlaps or is adjacent. Starts and ends
-        // are both sorted (disjointness), so walking backwards from the
-        // first start <= hi visits exactly the mergeable ranges.
-        let mut dead = Vec::new();
-        for (&s, &e) in self.m.range(..=hi).rev() {
-            if e < lo {
-                break;
-            }
-            dead.push(s);
-            lo = lo.min(s);
-            hi = hi.max(e);
+        let i = self.0.partition_point(|&(_, e)| e < lo);
+        let (mut lo, mut hi, mut j) = (lo, hi, i);
+        while j < self.0.len() && self.0[j].0 <= hi {
+            lo = lo.min(self.0[j].0);
+            hi = hi.max(self.0[j].1);
+            j += 1;
         }
-        for s in dead {
-            self.m.remove(&s);
-        }
-        self.m.insert(lo, hi);
+        self.0.splice(i..j, [(lo, hi)]);
     }
 
+    /// Drop `[lo, hi)`, trimming the ranges that straddle its ends.
     pub(crate) fn remove(&mut self, lo: u64, hi: u64) {
         if lo >= hi {
             return;
         }
-        let hit: Vec<(u64, u64)> =
-            self.m.range(..hi).rev().take_while(|&(_, &e)| e > lo).map(|(&s, &e)| (s, e)).collect();
-        for (s, e) in hit {
-            self.m.remove(&s);
-            if s < lo {
-                self.m.insert(s, lo);
-            }
-            if e > hi {
-                self.m.insert(hi, e);
-            }
+        let i = self.0.partition_point(|&(_, e)| e <= lo);
+        let j = i + self.0[i..].partition_point(|&(s, _)| s < hi);
+        if i < j {
+            let (s, e) = (self.0[i].0, self.0[j - 1].1);
+            self.0.splice(i..j, [(s, lo), (hi, e)].into_iter().filter(|&(a, b)| a < b));
         }
     }
 
+    /// Does the set hold a byte of `[lo, hi)`?
     pub(crate) fn intersects(&self, lo: u64, hi: u64) -> bool {
-        lo < hi && self.m.range(..hi).next_back().is_some_and(|(_, &e)| e > lo)
+        let i = self.0.partition_point(|&(_, e)| e <= lo);
+        lo < hi && self.0.get(i).is_some_and(|&(s, _)| s < hi)
+    }
+
+    /// Do the two sets share a byte?
+    pub fn overlaps(&self, other: &RangeSet) -> bool {
+        let (a, b) = (&self.0, &other.0);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].0 < b[j].1 && b[j].0 < a[i].1 {
+                return true;
+            }
+            if a[i].1 <= b[j].1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        false
+    }
+
+    /// The ranges, sorted by start.
+    pub fn ranges(&self) -> &[(u64, u64)] {
+        &self.0
+    }
+
+    /// The union of several sets.
+    fn union<'a>(sets: impl IntoIterator<Item = &'a RangeSet>) -> RangeSet {
+        let mut all: Vec<(u64, u64)> = sets.into_iter().flat_map(|s| s.0.iter().copied()).collect();
+        all.sort_unstable();
+        let mut out: Vec<(u64, u64)> = Vec::with_capacity(all.len());
+        for (lo, hi) in all {
+            match out.last_mut() {
+                Some((_, e)) if lo <= *e => *e = (*e).max(hi),
+                _ => out.push((lo, hi)),
+            }
+        }
+        RangeSet(out)
     }
 }
 
@@ -285,9 +345,10 @@ pub struct SetVlSite {
 /// splits, and per-site memory/`setvl` behavior.
 #[derive(Debug, Clone)]
 pub struct DlpProfile {
-    /// True when every thread's walk completed without trusting an
-    /// unknown value: all counts equal what the functional simulator
-    /// reports. False profiles are partial lower bounds.
+    /// True when every thread reached `halt` without trusting an unknown
+    /// value and no two threads conflicted within a barrier epoch: all
+    /// counts equal what the functional simulator reports. False
+    /// profiles are partial lower bounds.
     pub exact: bool,
     /// Human-readable reasons the walk went inexact, if any.
     pub notes: Vec<String>,
@@ -297,8 +358,8 @@ pub struct DlpProfile {
     pub total: Profile,
     /// Per-region counts, sorted by region id.
     pub regions: Vec<RegionProfile>,
-    /// Per-barrier-epoch counts (index = epoch, capped by
-    /// [`DlpOptions::epoch_cap`] with later epochs merged into the last).
+    /// Per-barrier-epoch counts (index = epoch; the 64th slot also holds
+    /// every later epoch).
     pub epoch_profiles: Vec<Profile>,
     /// Barrier epochs entered (max over threads).
     pub epochs: u64,
@@ -312,32 +373,57 @@ pub struct DlpProfile {
 // The walker
 // ---------------------------------------------------------------------------
 
-/// Result of one thread's walk.
+/// One thread's share of a walk.
 #[derive(Debug, Clone, Default)]
 struct WalkOut {
-    exact: bool,
-    note: Option<String>,
     total: Profile,
     regions: BTreeMap<u32, RegionProfile>,
     epoch_profiles: Vec<Profile>,
     epochs: u64,
     vmem_sites: BTreeMap<usize, VMemSite>,
     setvl_sites: BTreeMap<usize, SetVlSite>,
-    /// Per-(site, barrier-epoch) address hulls `[lo, hi)` over every
-    /// executed access. Epoch-keyed so the race analysis can prune pairs
-    /// that only overlap across barrier-separated epochs.
-    load_hulls: BTreeMap<(usize, u64), (u64, u64)>,
-    store_hulls: BTreeMap<(usize, u64), (u64, u64)>,
+    /// Per-(site, barrier-epoch) access sets, kept when the walk records
+    /// them.
+    sets: SiteBounds,
+    /// Distinct (site, epoch) keys in `sets`.
+    keys: usize,
+}
+
+impl WalkOut {
+    /// Add `[lo, lo + len)` to site `sidx`'s access set in `epoch`.
+    fn record(&mut self, sidx: usize, epoch: u64, lo: u64, len: u64) -> Result<(), Bail> {
+        let Some(hi) = lo.checked_add(len) else {
+            return Err(Bail::Fatal(format!(
+                "access at {lo:#x} wraps the address space (sidx {sidx})"
+            )));
+        };
+        let per = self.sets.entry(sidx).or_default();
+        if !per.contains_key(&epoch) {
+            self.keys += 1;
+            if self.keys > MAX_KEYS {
+                return Err(Bail::Fatal(format!("more than {MAX_KEYS} (site, epoch) access sets")));
+            }
+        }
+        let set = per.entry(epoch).or_default();
+        set.insert(lo, hi);
+        if set.0.len() > MAX_RANGES {
+            // A hull is a superset: sound for pruning, and a false
+            // conflict only costs exactness.
+            *set = RangeSet(vec![(set.0[0].0, set.0[set.0.len() - 1].1)]);
+        }
+        Ok(())
+    }
 }
 
 /// Why a walk stopped before `halt`.
 enum Bail {
-    /// An untrusted value was about to steer execution. A fully concrete
-    /// retry may still succeed (single-thread mode only).
+    /// An untrusted value was about to steer execution. A walk without
+    /// acceleration may still succeed.
     Poison(String),
     /// Concrete step budget exhausted.
     Budget,
-    /// The program faulted, or provably never terminates.
+    /// The program faulted, provably never terminates, or outgrew the
+    /// access-set caps.
     Fatal(String),
 }
 
@@ -386,28 +472,34 @@ struct Trial {
     branch_vals: [[u64; 2]; 2],
 }
 
-struct Walker<'a> {
+/// What every thread of one walk shares.
+struct Shared<'a> {
     prog: &'a DecodedProgram,
-    opts: &'a DlpOptions,
-    cross: Option<&'a RangeSet>,
-    st: ArchState,
+    budget: u64,
     mem: Memory,
     arena: AddrArena,
+    /// Bytes whose contents the walk no longer tracks.
+    unknown: RangeSet,
+    /// Loop blocks to accelerate (empty = a fully concrete walk).
+    accel_blocks: BTreeMap<usize, AccelBlock>,
+    /// Keep per-(site, epoch) access sets.
+    record: bool,
+}
+
+/// One thread's walk state.
+struct Thread {
+    st: ArchState,
     /// Knownness shadow: bit r set = register holds its true value.
     xk: u32,
     fk: u32,
     vk: u32,
     vm_known: bool,
-    /// Bytes whose contents the walk no longer tracks.
-    unknown: RangeSet,
     steps: u64,
     epoch: usize,
     out: WalkOut,
     /// `setvl` result provenance: which site last wrote each x register.
     setvl_origin: [Option<usize>; 32],
-    accel_blocks: BTreeMap<usize, AccelBlock>,
     trial: Option<Trial>,
-    accelerate: bool,
 }
 
 /// Identify self-looping straight-line blocks whose dynamics the trial
@@ -458,40 +550,19 @@ fn is_vcmp(op: Op) -> bool {
     matches!(op, Op::Vseq | Op::Vsne | Op::Vslt | Op::Vsge | Op::Vfeq | Op::Vflt | Op::Vfle)
 }
 
-impl<'a> Walker<'a> {
-    fn new(
-        prog: &'a DecodedProgram,
-        opts: &'a DlpOptions,
-        tid: usize,
-        cross: Option<&'a RangeSet>,
-        accel_blocks: BTreeMap<usize, AccelBlock>,
-    ) -> Self {
-        let st = ArchState::new(prog.program.entry, tid, opts.threads);
-        let mem = Memory::load(&prog.program);
-        let arena = AddrArena::new(opts.threads.max(tid + 1));
-        Walker {
-            prog,
-            opts,
-            cross,
-            st,
-            mem,
-            arena,
+impl Thread {
+    fn new(prog: &DecodedProgram, tid: usize, nthr: usize) -> Self {
+        Thread {
+            st: ArchState::new(prog.program.entry, tid, nthr),
             xk: u32::MAX,
             fk: u32::MAX,
             vk: u32::MAX,
             vm_known: true,
-            unknown: RangeSet::default(),
             steps: 0,
             epoch: 0,
-            out: WalkOut {
-                exact: false,
-                epoch_profiles: vec![Profile::default()],
-                ..WalkOut::default()
-            },
+            out: WalkOut { epoch_profiles: vec![Profile::default()], ..WalkOut::default() },
             setvl_origin: [None; 32],
-            accel_blocks,
             trial: None,
-            accelerate: opts.accelerate,
         }
     }
 
@@ -511,12 +582,8 @@ impl<'a> Walker<'a> {
         }
     }
 
-    fn tainted(&self, lo: u64, hi: u64) -> bool {
-        self.unknown.intersects(lo, hi) || self.cross.is_some_and(|c| c.intersects(lo, hi))
-    }
-
     /// Would executing `si` let an untrusted value steer the walk?
-    fn unknown_critical(&self, si: &StaticInst) -> Option<String> {
+    fn unknown_critical(&self, prog: &DecodedProgram, si: &StaticInst) -> Option<String> {
         let inst = &si.inst;
         let bad_x = |r: u8| !self.known_x(r);
         let reason = match si.class {
@@ -543,51 +610,47 @@ impl<'a> Walker<'a> {
             _ => return None,
         };
         Some(format!("{reason} depends on a value the walk no longer tracks (sidx {})", {
-            self.prog.index_of(self.st.pc).unwrap_or(0)
+            prog.index_of(self.st.pc).unwrap_or(0)
         }))
     }
 
-    /// Run the walk to completion or bail.
-    fn run(&mut self) -> Result<(), Bail> {
-        loop {
-            if self.st.halted {
-                return Ok(());
-            }
-            let Some(sidx) = self.prog.index_of(self.st.pc) else {
+    /// Step up to and including the next `barrier`, or to `halt`.
+    fn run_to_barrier(&mut self, sh: &mut Shared) -> Result<(), Bail> {
+        let prog = sh.prog;
+        while !self.st.halted {
+            let Some(sidx) = prog.index_of(self.st.pc) else {
                 return Err(Bail::Fatal(format!(
                     "walk left the text segment at pc {:#x}",
                     self.st.pc
                 )));
             };
-            let si = self.prog.get(sidx);
+            let si = prog.get(sidx);
 
-            if let Some(reason) = self.unknown_critical(si) {
+            if let Some(reason) = self.unknown_critical(prog, si) {
                 return Err(Bail::Poison(reason));
             }
-            if self.steps >= self.opts.budget {
+            if self.steps >= sh.budget {
                 return Err(Bail::Budget);
             }
 
-            // Trial bookkeeping: start a trial at a candidate head, abandon
-            // one whose control left the block.
-            if self.accelerate {
-                if let Some(t) = &self.trial {
-                    if sidx < t.block.head || sidx > t.block.branch {
-                        self.trial = None;
-                    }
+            // Trial bookkeeping: abandon a trial whose control left the
+            // block, start one at a candidate head.
+            if let Some(t) = &self.trial {
+                if sidx < t.block.head || sidx > t.block.branch {
+                    self.trial = None;
                 }
-                if self.trial.is_none() {
-                    if let Some(&block) = self.accel_blocks.get(&sidx) {
-                        self.trial = Some(Trial {
-                            block,
-                            runs: 0,
-                            x: [self.st.x, [0; 32]],
-                            prof: [Profile::default(), Profile::default()],
-                            nl_vals: [Vec::new(), Vec::new()],
-                            sites: [Vec::new(), Vec::new()],
-                            branch_vals: [[0; 2]; 2],
-                        });
-                    }
+            }
+            if self.trial.is_none() {
+                if let Some(&block) = sh.accel_blocks.get(&sidx) {
+                    self.trial = Some(Trial {
+                        block,
+                        runs: 0,
+                        x: [self.st.x, [0; 32]],
+                        prof: [Profile::default(), Profile::default()],
+                        nl_vals: [Vec::new(), Vec::new()],
+                        sites: [Vec::new(), Vec::new()],
+                        branch_vals: [[0; 2]; 2],
+                    });
                 }
             }
 
@@ -611,7 +674,7 @@ impl<'a> Walker<'a> {
                         nl_capture = Some(vals);
                     }
                     // Strided vector accesses must also hold their stride
-                    // constant for hull extrapolation to be rigid.
+                    // constant for span extrapolation to be rigid.
                     if matches!(inst.op, Op::Vlds | Op::Vsts) {
                         nl_capture.get_or_insert_with(Vec::new).push(self.st.get_x(inst.rs2));
                     }
@@ -627,19 +690,22 @@ impl<'a> Walker<'a> {
                 }
             }
 
-            let d = match interp::step(&mut self.st, &mut self.mem, self.prog, &mut self.arena) {
-                Ok(d) => d,
-                Err(e) => return Err(Bail::Fatal(format!("fault: {e}"))),
-            };
+            let d = interp::step(&mut self.st, &mut sh.mem, prog, &mut sh.arena)
+                .map_err(|e| Bail::Fatal(format!("fault: {e}")))?;
             self.steps += 1;
-            self.absorb(si, &d, nl_capture, store_value)?;
+            self.absorb(sh, si, &d, nl_capture, store_value)?;
+            if d.kind == DynKind::Barrier {
+                break;
+            }
         }
+        Ok(())
     }
 
     /// Record one concretely executed instruction: statistics, knownness
     /// propagation, site bookkeeping, and trial progress.
     fn absorb(
         &mut self,
+        sh: &mut Shared,
         si: &StaticInst,
         d: &DynInst,
         nl_capture: Option<Vec<u64>>,
@@ -657,12 +723,13 @@ impl<'a> Walker<'a> {
             profile: Profile::default(),
         });
         entry.profile.record(si.class, d);
-        let ei = self.epoch.min(self.opts.epoch_cap - 1).min(self.out.epoch_profiles.len() - 1);
+        let ei = self.epoch.min(EPOCH_CAP - 1).min(self.out.epoch_profiles.len() - 1);
         self.out.epoch_profiles[ei].record(si.class, d);
+        let ek = self.epoch as u64;
         if matches!(d.kind, DynKind::Barrier) {
             self.epoch += 1;
             self.out.epochs = self.out.epochs.max(self.epoch as u64);
-            if self.epoch < self.opts.epoch_cap && self.epoch >= self.out.epoch_profiles.len() {
+            if self.epoch < EPOCH_CAP && self.epoch >= self.out.epoch_profiles.len() {
                 self.out.epoch_profiles.push(Profile::default());
             }
         }
@@ -706,7 +773,7 @@ impl<'a> Walker<'a> {
             }
         }
 
-        // ---- knownness propagation ----
+        // ---- knownness propagation & access sets ----
         let inputs_known = si.uses.iter().all(|u| match u {
             RegRef::I(r) => self.known_x(*r),
             RegRef::F(r) => self.fk & (1 << r) != 0,
@@ -718,11 +785,12 @@ impl<'a> Walker<'a> {
         let mut loaded_tainted = false;
         match d.kind {
             DynKind::Mem { addr, size } => {
+                if sh.record {
+                    self.out.record(sidx, ek, addr, u64::from(size))?;
+                }
                 let (lo, hi) = (addr, addr.wrapping_add(size as u64));
-                let ek = self.epoch as u64;
                 if si.class == OpClass::Load {
-                    loaded_tainted = self.tainted(lo, hi);
-                    hull(&mut self.out.load_hulls, (sidx, ek), lo, hi);
+                    loaded_tainted = sh.unknown.intersects(lo, hi);
                     site_rec = Some(SiteRec {
                         sidx,
                         lo,
@@ -733,11 +801,10 @@ impl<'a> Walker<'a> {
                     });
                 } else {
                     if inputs_known {
-                        self.unknown.remove(lo, hi);
+                        sh.unknown.remove(lo, hi);
                     } else {
-                        self.unknown.insert(lo, hi);
+                        sh.unknown.insert(lo, hi);
                     }
-                    hull(&mut self.out.store_hulls, (sidx, ek), lo, hi);
                     let kind = if matches!(inst.op, Op::Sd | Op::Sw | Op::Sb) {
                         SiteKind::IntStore { value: store_value }
                     } else {
@@ -747,38 +814,38 @@ impl<'a> Walker<'a> {
                 }
             }
             DynKind::VMem { addrs } => {
-                let slice = self.arena.slice(addrs);
+                let slice = sh.arena.slice(addrs);
                 let elems = slice.len() as u64;
                 let (mut lo, mut hi) = (u64::MAX, 0u64);
                 let mut banks_hit = 0u64;
                 for &a in slice {
                     lo = lo.min(a);
                     hi = hi.max(a.wrapping_add(8));
-                    banks_hit |= 1 << ((a >> 3) as usize % self.opts.banks.clamp(1, 64));
+                    banks_hit |= 1 << ((a >> 3) as usize % DLP_BANKS);
                 }
                 let write = si.class == OpClass::VStore;
                 let conflict = {
                     let distinct = banks_hit.count_ones() as u64;
-                    elems >= self.opts.banks as u64 && distinct * 2 <= self.opts.banks as u64
+                    elems >= DLP_BANKS as u64 && distinct * 2 <= DLP_BANKS as u64
                 };
                 if elems > 0 {
-                    let ek = self.epoch as u64;
                     if write {
                         // Per-element strong/weak update.
-                        let known = inputs_known;
-                        let addrs_owned: Vec<u64> = slice.to_vec();
-                        for a in addrs_owned {
-                            if known {
-                                self.unknown.remove(a, a.wrapping_add(8));
+                        for &a in slice {
+                            if inputs_known {
+                                sh.unknown.remove(a, a.wrapping_add(8));
                             } else {
-                                self.unknown.insert(a, a.wrapping_add(8));
+                                sh.unknown.insert(a, a.wrapping_add(8));
                             }
                         }
-                        hull(&mut self.out.store_hulls, (sidx, ek), lo, hi);
                     } else {
-                        let slice = self.arena.slice(addrs);
-                        loaded_tainted = slice.iter().any(|&a| self.tainted(a, a.wrapping_add(8)));
-                        hull(&mut self.out.load_hulls, (sidx, ek), lo, hi);
+                        loaded_tainted =
+                            slice.iter().any(|&a| sh.unknown.intersects(a, a.wrapping_add(8)));
+                    }
+                    if sh.record {
+                        for &a in slice {
+                            self.out.record(sidx, ek, a, 8)?;
+                        }
                     }
                     site_rec = Some(SiteRec {
                         sidx,
@@ -860,7 +927,7 @@ impl<'a> Walker<'a> {
                         if t.runs == 1 {
                             t.x[1] = self.st.x;
                         } else {
-                            return self.try_commit();
+                            return self.try_commit(sh);
                         }
                     } else {
                         self.trial = None; // loop exited during trials
@@ -876,7 +943,7 @@ impl<'a> Walker<'a> {
     /// remaining trip count, and commit it in O(1). On any verification
     /// failure the trial is simply dropped — execution continues
     /// concretely, which is always sound.
-    fn try_commit(&mut self) -> Result<(), Bail> {
+    fn try_commit(&mut self, sh: &mut Shared) -> Result<(), Bail> {
         let t = self.trial.take().expect("trial present");
         let head_x = self.st.x; // state after run 2, at block head
 
@@ -914,7 +981,7 @@ impl<'a> Walker<'a> {
         }
 
         // Solve the loop branch: how many further iterations stay taken?
-        let br = &self.prog.get(t.block.branch).inst;
+        let br = &sh.prog.get(t.block.branch).inst;
         let (a0, b0) = (t.branch_vals[1][0], t.branch_vals[1][1]);
         let (da, db) = (
             t.branch_vals[1][0].wrapping_sub(t.branch_vals[0][0]) as i64,
@@ -1033,7 +1100,7 @@ impl<'a> Walker<'a> {
         if let Some(e) = self.out.regions.get_mut(&region) {
             e.profile.add_scaled(&t.prof[1], k);
         }
-        let ei = self.epoch.min(self.opts.epoch_cap - 1).min(self.out.epoch_profiles.len() - 1);
+        let ei = self.epoch.min(EPOCH_CAP - 1).min(self.out.epoch_profiles.len() - 1);
         self.out.epoch_profiles[ei].add_scaled(&t.prof[1], k);
 
         // Per-site extrapolation. Gather moving-store spans first so a
@@ -1058,12 +1125,12 @@ impl<'a> Walker<'a> {
         let ek = self.epoch as u64; // accel blocks contain no barriers
         for (i, rec) in t.sites[1].iter().enumerate() {
             let (_, slo, shi, d) = spans[i];
+            if sh.record {
+                self.out.record(rec.sidx, ek, slo, shi - slo)?;
+            }
             match rec.kind {
-                SiteKind::Load => {
-                    hull(&mut self.out.load_hulls, (rec.sidx, ek), slo, shi);
-                }
+                SiteKind::Load => {}
                 SiteKind::IntStore { value } => {
-                    hull(&mut self.out.store_hulls, (rec.sidx, ek), slo, shi);
                     let covered = moving_stores.iter().any(|&(l, h)| l < rec.hi && rec.lo < h);
                     if d == 0 && !covered {
                         // Loop-invariant address: the stored integer is on
@@ -1075,24 +1142,21 @@ impl<'a> Walker<'a> {
                         });
                         let fin = value.wrapping_add(dv.wrapping_mul(k));
                         match rec.hi - rec.lo {
-                            8 => self.mem.write_u64(rec.lo, fin),
-                            4 => self.mem.write_u32(rec.lo, fin as u32),
-                            _ => self.mem.write_u8(rec.lo, fin as u8),
+                            8 => sh.mem.write_u64(rec.lo, fin),
+                            4 => sh.mem.write_u32(rec.lo, fin as u32),
+                            _ => sh.mem.write_u8(rec.lo, fin as u8),
                         }
-                        self.unknown.remove(rec.lo, rec.hi);
+                        sh.unknown.remove(rec.lo, rec.hi);
                     } else {
-                        self.unknown.insert(slo, shi);
+                        sh.unknown.insert(slo, shi);
                     }
                 }
-                SiteKind::OtherStore => {
-                    hull(&mut self.out.store_hulls, (rec.sidx, ek), slo, shi);
-                    self.unknown.insert(slo, shi);
-                }
+                SiteKind::OtherStore => sh.unknown.insert(slo, shi),
             }
             // Vector site dynamic counters scale with k.
             if let Some(v) = self.out.vmem_sites.get_mut(&rec.sidx) {
                 if rec.elems > 0
-                    || matches!(self.prog.get(rec.sidx).class, OpClass::VLoad | OpClass::VStore)
+                    || matches!(sh.prog.get(rec.sidx).class, OpClass::VLoad | OpClass::VStore)
                 {
                     v.execs += k;
                     v.elems += rec.elems * k;
@@ -1106,7 +1170,7 @@ impl<'a> Walker<'a> {
         for (r, d) in delta.iter().enumerate().skip(1) {
             self.st.x[r] = self.st.x[r].wrapping_add(d.wrapping_mul(k));
         }
-        for si in &self.prog.insts[t.block.head..=t.block.branch] {
+        for si in &sh.prog.insts[t.block.head..=t.block.branch] {
             for def in &si.defs {
                 match def {
                     RegRef::F(r) => self.fk &= !(1 << r),
@@ -1117,113 +1181,135 @@ impl<'a> Walker<'a> {
         }
         Ok(())
     }
-
-    fn finish(mut self, end: Result<(), Bail>) -> WalkOut {
-        match end {
-            Ok(()) => {
-                self.out.exact = true;
-            }
-            Err(Bail::Poison(why)) => {
-                self.out.note = Some(why);
-            }
-            Err(Bail::Budget) => {
-                self.out.note =
-                    Some(format!("budget of {} concrete steps exhausted", self.opts.budget));
-            }
-            Err(Bail::Fatal(why)) => {
-                self.out.note = Some(why);
-            }
-        }
-        self.out
-    }
 }
 
-fn hull<K: Ord>(m: &mut BTreeMap<K, (u64, u64)>, key: K, lo: u64, hi: u64) {
-    m.entry(key)
-        .and_modify(|(l, h)| {
-            *l = (*l).min(lo);
-            *h = (*h).max(hi);
-        })
-        .or_insert((lo, hi));
+/// A finished walk: each thread's output, and why the walk is not exact
+/// (no notes = exact).
+struct Walk {
+    outs: Vec<WalkOut>,
+    notes: Vec<String>,
+    /// The failure may not recur without acceleration: a poisoned value,
+    /// or a conflict that extrapolated spans may have made up.
+    retry: bool,
 }
 
-/// Walk one thread. `poison_retry` controls the accel-off fallback.
-fn walk_thread(
+/// Walk every thread in the epoch-synchronous schedule (module docs) with
+/// the given accelerable loops, then scan the access sets for a
+/// conflict.
+fn walk_once(
     prog: &DecodedProgram,
     opts: &DlpOptions,
-    tid: usize,
-    cross: Option<&RangeSet>,
-    candidates: &BTreeMap<usize, AccelBlock>,
-) -> WalkOut {
-    let mut w = Walker::new(prog, opts, tid, cross, candidates.clone());
-    let end = w.run();
-    let retry = matches!(end, Err(Bail::Poison(_))) && opts.accelerate;
-    let out = w.finish(end);
-    if !out.exact && retry {
-        // The poison came from acceleration's summarization (the only
-        // source of unknowns in this configuration besides cross ranges,
-        // which don't go away on retry). A fully concrete walk is exact if
-        // it fits the budget.
-        let mut w2 = Walker::new(prog, opts, tid, cross, BTreeMap::new());
-        w2.accelerate = false;
-        let end2 = w2.run();
-        let out2 = w2.finish(end2);
-        if out2.exact || out2.total.insts > out.total.insts {
-            return out2;
+    accel_blocks: BTreeMap<usize, AccelBlock>,
+    record: bool,
+) -> Walk {
+    let nthr = opts.threads.max(1);
+    let mut sh = Shared {
+        prog,
+        budget: opts.budget,
+        mem: Memory::load(&prog.program),
+        arena: AddrArena::new(nthr),
+        unknown: RangeSet::default(),
+        accel_blocks,
+        record,
+    };
+    let mut threads: Vec<Thread> = (0..nthr).map(|t| Thread::new(prog, t, nthr)).collect();
+    let mut bail = None;
+    'epochs: while threads.iter().any(|t| !t.st.halted) {
+        for (tid, t) in threads.iter_mut().enumerate() {
+            if let Err(b) = t.run_to_barrier(&mut sh) {
+                bail = Some((tid, b));
+                break 'epochs;
+            }
         }
     }
-    out
+    let outs: Vec<WalkOut> = threads.into_iter().map(|t| t.out).collect();
+    let (notes, retry) = match bail {
+        Some((tid, b)) => {
+            let retry = matches!(b, Bail::Poison(_));
+            let why = match b {
+                Bail::Poison(why) | Bail::Fatal(why) => why,
+                Bail::Budget => format!("budget of {} concrete steps exhausted", opts.budget),
+            };
+            (vec![format!("thread {tid}: {why}")], retry)
+        }
+        None => match first_conflict(prog, &outs) {
+            Some(note) => (vec![note], true),
+            None => (Vec::new(), false),
+        },
+    };
+    Walk { outs, notes, retry }
 }
 
-/// Internal: walk all threads with the two-pass cross-validation.
-fn analyze_threads(prog: &DecodedProgram, opts: &DlpOptions) -> (Vec<WalkOut>, bool) {
-    let candidates = if opts.accelerate { accel_candidates(prog) } else { BTreeMap::new() };
-    let nthr = opts.threads.max(1);
-    let pass1: Vec<WalkOut> =
-        (0..nthr).map(|t| walk_thread(prog, opts, t, None, &candidates)).collect();
-    if nthr == 1 {
-        let exact = pass1[0].exact;
-        return (pass1, exact);
+/// The walk: accelerated first; when that poisons or conflicts, once more
+/// fully concrete, keeping whichever got further.
+fn walk(prog: &DecodedProgram, opts: &DlpOptions, record: bool) -> Walk {
+    let blocks = accel_candidates(prog);
+    let accelerated = !blocks.is_empty();
+    let w = walk_once(prog, opts, blocks, record);
+    if w.retry && accelerated {
+        let w2 = walk_once(prog, opts, BTreeMap::new(), record);
+        let insts = |w: &Walk| w.outs.iter().map(|o| o.total.insts).sum::<u64>();
+        if w2.notes.is_empty() || insts(&w2) > insts(&w) {
+            return w2;
+        }
     }
-    if !pass1.iter().all(|o| o.exact) {
-        return (pass1, false);
-    }
-    // Pass 2: re-walk each thread treating every byte any *other* thread
-    // writes as untrusted. All-exact means no cross-thread value steered
-    // anything, so the pass-1 addresses (== pass-2 addresses) are
-    // schedule-independent.
-    let store_sets: Vec<RangeSet> = pass1
+    w
+}
+
+/// The first same-epoch cross-thread conflict in the walk's access sets,
+/// as a note naming the epoch and one site of each thread.
+fn first_conflict(prog: &DecodedProgram, outs: &[WalkOut]) -> Option<String> {
+    let is_write = |sidx: usize| matches!(prog.get(sidx).class, OpClass::Store | OpClass::VStore);
+    // Per thread, per epoch: the union of its write sets and of its reads.
+    let unions: Vec<BTreeMap<u64, (RangeSet, RangeSet)>> = outs
         .iter()
         .map(|o| {
-            let mut s = RangeSet::default();
-            for &(lo, hi) in o.store_hulls.values() {
-                s.insert(lo, hi);
-            }
-            s
-        })
-        .collect();
-    let mut pass2 = Vec::with_capacity(nthr);
-    for t in 0..nthr {
-        let mut cross = RangeSet::default();
-        for (u, s) in store_sets.iter().enumerate() {
-            if u != t {
-                for (&lo, &hi) in s.m.iter() {
-                    cross.insert(lo, hi);
+            let mut per: BTreeMap<u64, (Vec<&RangeSet>, Vec<&RangeSet>)> = BTreeMap::new();
+            for (&sidx, epochs) in &o.sets {
+                for (&e, set) in epochs {
+                    let slot = per.entry(e).or_default();
+                    if is_write(sidx) {
+                        slot.0.push(set);
+                    } else {
+                        slot.1.push(set);
+                    }
                 }
             }
+            per.into_iter()
+                .map(|(e, (w, r))| (e, (RangeSet::union(w), RangeSet::union(r))))
+                .collect()
+        })
+        .collect();
+    for t1 in 0..outs.len() {
+        for t2 in t1 + 1..outs.len() {
+            for (&e, (w1, r1)) in &unions[t1] {
+                let Some((w2, r2)) = unions[t2].get(&e) else { continue };
+                if !(w1.overlaps(w2) || w1.overlaps(r2) || r1.overlaps(w2)) {
+                    continue;
+                }
+                let in_epoch = |t: usize| {
+                    outs[t].sets.iter().filter_map(move |(&s, per)| Some((s, per.get(&e)?)))
+                };
+                let (s1, s2) = in_epoch(t1)
+                    .flat_map(|a| in_epoch(t2).map(move |b| (a, b)))
+                    .find(|((s1, a), (s2, b))| (is_write(*s1) || is_write(*s2)) && a.overlaps(b))
+                    .map(|((s1, _), (s2, _))| (s1, s2))
+                    .expect("overlapping unions have an overlapping pair of site sets");
+                return Some(format!(
+                    "threads {t1} and {t2} conflict in barrier epoch {e}: sidx {s1} and sidx \
+                     {s2} touch the same bytes and at least one writes"
+                ));
+            }
         }
-        pass2.push(walk_thread(prog, opts, t, Some(&cross), &candidates));
     }
-    let exact = pass2.iter().all(|o| o.exact);
-    (pass2, exact)
+    None
 }
 
 /// Statically predict the program's DLP profile (Table-4 quantities) by
-/// walking each thread with the knownness shadow and loop acceleration
-/// described in the module docs.
+/// the walk described in the module docs.
 pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
     let dec = DecodedProgram::new(prog);
-    let (outs, exact) = analyze_threads(&dec, opts);
+    let w = walk(&dec, opts, opts.threads > 1);
 
     let mut total = Profile::default();
     let mut regions: BTreeMap<u32, RegionProfile> = BTreeMap::new();
@@ -1231,8 +1317,7 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
     let mut vmem_sites: BTreeMap<usize, VMemSite> = BTreeMap::new();
     let mut setvl_sites: BTreeMap<usize, SetVlSite> = BTreeMap::new();
     let mut epochs = 0u64;
-    let mut notes = Vec::new();
-    for (tid, o) in outs.iter().enumerate() {
+    for o in &w.outs {
         total.add_scaled(&o.total, 1);
         for (rid, rp) in &o.regions {
             regions
@@ -1273,14 +1358,11 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
                 })
                 .or_insert_with(|| v.clone());
         }
-        if let Some(n) = &o.note {
-            notes.push(format!("thread {tid}: {n}"));
-        }
     }
 
     DlpProfile {
-        exact,
-        notes,
+        exact: w.notes.is_empty(),
+        notes: w.notes,
         threads: opts.threads.max(1),
         total,
         regions: regions.into_values().collect(),
@@ -1291,45 +1373,22 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
     }
 }
 
-/// One thread's access-set bounds: static instruction index → barrier
-/// epoch → sorted disjoint `[lo, hi)` byte ranges covering every access
-/// the site made in that epoch. The symbolic walker produces one-element
-/// lists (hulls); the observed walk keeps the exact coalesced sets, which
-/// is what lets the race analysis discharge permutation scatters whose
-/// hulls overlap but whose elements interleave disjointly.
-pub type SiteBounds = BTreeMap<usize, BTreeMap<u64, Vec<(u64, u64)>>>;
+/// One thread's access sets: static instruction index → barrier epoch →
+/// the bytes the site touched in that epoch (exact, except that an
+/// accelerated loop contributes each site's extrapolated span, and a set
+/// of more than 8192 ranges collapses to its hull).
+pub type SiteBounds = BTreeMap<usize, BTreeMap<u64, RangeSet>>;
 
-/// Per-thread access-set bounds for every (site, barrier-epoch) pair,
-/// over loads and stores — `Some` only when either the symbolic walk of
-/// every thread validated as exact and schedule-independent, or (failing
-/// that) the epoch-synchronous observed walk (`content::observe`)
-/// completed conflict-free, which certifies its per-epoch sets for every
-/// interleaving. A site absent from a thread's map was never executed by
-/// that thread — in any schedule, by the same argument.
+/// Per-thread access sets for every (site, barrier-epoch) pair, over loads
+/// and stores. `Some` only when the walk at `threads` threads certifies
+/// (module docs): every thread halts unpoisoned within the step budget and
+/// no two threads conflict within an epoch. The sets then bound the
+/// accesses of every interleaving, and a site absent from a thread's map
+/// is one that thread never executes, in any schedule.
 pub fn site_bounds(prog: &Program, threads: usize) -> Option<Vec<SiteBounds>> {
-    let opts = DlpOptions { threads, budget: 20_000_000, ..DlpOptions::default() };
-    let dec = DecodedProgram::new(prog);
-    let (outs, exact) = analyze_threads(&dec, &opts);
-    if !exact {
-        // Symbolic walk couldn't certify (data-dependent steering, shared
-        // epochs the two-pass scheme rejected, …): fall back to concretely
-        // observing the canonical schedule. Conflict-free ⇒ the sets are
-        // schedule-independent, so they are just as valid as walker hulls.
-        return crate::content::observe(prog, threads, opts.budget);
-    }
-    Some(
-        outs.into_iter()
-            .map(|o| {
-                let mut m: BTreeMap<usize, BTreeMap<u64, (u64, u64)>> = BTreeMap::new();
-                for ((s, e), (lo, hi)) in o.load_hulls.into_iter().chain(o.store_hulls) {
-                    hull(m.entry(s).or_default(), e, lo, hi);
-                }
-                m.into_iter()
-                    .map(|(s, per)| (s, per.into_iter().map(|(e, h)| (e, vec![h])).collect()))
-                    .collect()
-            })
-            .collect(),
-    )
+    let opts = DlpOptions { threads, budget: BOUNDS_BUDGET };
+    let w = walk(&DecodedProgram::new(prog), &opts, true);
+    w.notes.is_empty().then(|| w.outs.into_iter().map(|o| o.sets).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1719,6 +1778,34 @@ mod tests {
         assert!(r.intersects(10, 12));
         assert!(!r.intersects(12, 35));
         assert!(r.intersects(35, 40));
+        assert_eq!(r.ranges(), &[(10, 12), (35, 40)]);
+    }
+
+    #[test]
+    fn range_set_coalesces_and_access_sets_cap() {
+        let mut l = RangeSet::default();
+        l.insert(8, 16);
+        l.insert(16, 24); // adjacent: coalesce
+        l.insert(0, 4);
+        assert_eq!(l.ranges(), &[(0, 4), (8, 24)]);
+        l.insert(4, 8); // bridges the gap
+        assert_eq!(l.ranges(), &[(0, 24)]);
+        let mut out = WalkOut::default();
+        for i in 0..=MAX_RANGES as u64 {
+            assert!(out.record(3, 0, 100 + 16 * i, 8).is_ok());
+        }
+        assert_eq!(out.sets[&3][&0].ranges().len(), 1, "saturation collapses to the hull");
+        assert!(out.record(3, 0, u64::MAX - 4, 8).is_err(), "a wrapping access is refused");
+    }
+
+    #[test]
+    fn overlap_scan() {
+        let set = |r: &[(u64, u64)]| RangeSet(r.to_vec());
+        assert!(set(&[(0, 8), (16, 24)]).overlaps(&set(&[(20, 32)])));
+        assert!(!set(&[(0, 8), (16, 24)]).overlaps(&set(&[(8, 16), (24, 40)])));
+        assert!(!set(&[]).overlaps(&set(&[(0, 8)])));
+        let u = RangeSet::union([&set(&[(0, 8), (20, 24)]), &set(&[(8, 12)])]);
+        assert_eq!(u.ranges(), &[(0, 12), (20, 24)]);
     }
 
     #[test]
@@ -1884,8 +1971,8 @@ mod tests {
 
     #[test]
     fn shared_mode_disjoint_tiles_validate() {
-        // Two threads write disjoint tid-indexed tiles; pass 2 must
-        // validate and the merged totals must match the 2-thread run.
+        // Two threads write disjoint tid-indexed tiles: the walk certifies
+        // and the merged totals must match the 2-thread run.
         let src = ".data\nxs: .space 1024\n.text\n\
                    tid x1\nnthr x2\nla x3, xs\nslli x4, x1, 6\nadd x3, x3, x4\n\
                    li x5, 8\nsetvl x6, x5\nregion 1\nvld v1, x3\nvadd.vv v2, v1, v1\n\
@@ -1898,9 +1985,9 @@ mod tests {
         let s = sim.run_to_completion(1_000_000).unwrap();
         assert_eq!(p.total.insts, s.insts);
         assert_eq!(p.total.elem_ops, s.elem_ops);
-        // And the hull bounds are available for race pruning: the two
-        // threads' vector-store hulls live in epoch 0 and are disjoint.
-        let bounds = site_bounds(&prog, 2).expect("exact walks give bounds");
+        // And the access sets are available for race pruning: both
+        // threads' vector accesses live in epoch 0.
+        let bounds = site_bounds(&prog, 2).expect("a certified walk gives bounds");
         assert_eq!(bounds.len(), 2);
         let vst = bounds
             .iter()
@@ -1909,36 +1996,91 @@ mod tests {
         assert!(!vst[0].is_empty() && !vst[1].is_empty());
     }
 
+    /// Thread 0 stores a flag that thread 1 loads and branches on after
+    /// the barrier.
+    const BARRIER_SEPARATED_FLAG: &str = ".data\nflag: .dword 0\n.text\n\
+        tid x1\nla x2, flag\nbne x1, x0, reader\n\
+        li x3, 1\nsd x3, 0(x2)\nbarrier\nhalt\n\
+        reader:\nbarrier\nld x4, 0(x2)\nbne x4, x0, done\ndone:\nhalt\n";
+
     #[test]
-    fn cross_thread_steering_falls_back_to_observed_walk() {
-        // Thread 0 stores a flag another thread branches on after the
-        // barrier: the symbolic walker's pass 2 refuses to certify, but
-        // the communication is barrier-separated, so the epoch-synchronous
-        // observed walk certifies the access sets instead.
-        let src = ".data\nflag: .dword 0\n.text\n\
-                   tid x1\nla x2, flag\nbne x1, x0, reader\n\
-                   li x3, 1\nsd x3, 0(x2)\nbarrier\nhalt\n\
-                   reader:\nbarrier\nld x4, 0(x2)\nbne x4, x0, done\ndone:\nhalt\n";
-        let prog = assemble(src).unwrap();
-        let dec = DecodedProgram::new(&prog);
-        let opts = DlpOptions { threads: 2, budget: 20_000_000, ..DlpOptions::default() };
-        let (_, exact) = analyze_threads(&dec, &opts);
-        assert!(!exact, "the symbolic walk must refuse this program");
-        assert!(site_bounds(&prog, 2).is_some(), "the observed walk certifies it");
+    fn cross_thread_flag_across_a_barrier_is_exact() {
+        // The communication is barrier-separated, so the shared-memory
+        // walk follows it concretely: the profile is exact and equal to
+        // the 2-thread run, and the access sets are certified.
+        let prog = assemble(BARRIER_SEPARATED_FLAG).unwrap();
+        let p = analyze(&prog, &DlpOptions { threads: 2, ..DlpOptions::default() });
+        assert!(p.exact, "{:?}", p.notes);
+        let s = FuncSim::new(&prog, 2).run_to_completion(1_000_000).unwrap();
+        assert_eq!(p.total.insts, s.insts);
+        assert_eq!(p.total.scalar_ops, s.scalar_ops);
+        assert_eq!(p.total.vl_histogram.as_slice(), s.vl_histogram.as_slice());
+        assert!(site_bounds(&prog, 2).is_some());
     }
 
     #[test]
     fn same_epoch_conflict_defeats_bounds() {
         // Both threads write the steering slot in the same epoch and then
-        // load it back to index another access: the walker's pass 2
-        // refuses (a cross-tainted value steers an address) and the
-        // observed walk sees a same-epoch write/write set conflict, so no
-        // bounds may be certified by either path.
+        // load it back to index another access: the access sets hold a
+        // same-epoch write/write conflict, so no bounds may be certified
+        // and the 2-thread profile is inexact with a note naming it.
         let src = ".data\nidx: .dword 0\nxs: .space 64\n.text\n\
                    tid x1\nla x2, idx\nsd x1, 0(x2)\nld x3, 0(x2)\n\
                    la x4, xs\nslli x5, x3, 3\nadd x4, x4, x5\nld x6, 0(x4)\n\
                    barrier\nhalt\n";
         let prog = assemble(src).unwrap();
         assert!(site_bounds(&prog, 2).is_none());
+        let p = analyze(&prog, &DlpOptions { threads: 2, ..DlpOptions::default() });
+        assert!(!p.exact);
+        let sd = prog.decoded().iter().position(|i| i.op == Op::Sd).unwrap();
+        assert_eq!(
+            p.notes,
+            [format!(
+                "threads 0 and 1 conflict in barrier epoch 0: sidx {sd} and sidx {sd} touch the \
+                 same bytes and at least one writes"
+            )]
+        );
+    }
+
+    #[test]
+    fn site_bounds_of_disjoint_tiles_stay_in_each_tile() {
+        let src = ".data\nxs: .space 128\n.text\n\
+                   tid x1\nla x2, xs\nslli x3, x1, 3\nadd x2, x2, x3\n\
+                   sd x1, 0(x2)\nbarrier\nld x4, 0(x2)\nhalt\n";
+        let prog = assemble(src).unwrap();
+        let sets = site_bounds(&prog, 2).expect("disjoint tiles are conflict-free");
+        assert_eq!(sets.len(), 2);
+        // Every access either thread makes stays inside its own tile.
+        let tile: Vec<RangeSet> =
+            sets.iter().map(|m| RangeSet::union(m.values().flat_map(|per| per.values()))).collect();
+        assert!(!tile[0].ranges().is_empty() && !tile[1].ranges().is_empty());
+        assert!(!tile[0].overlaps(&tile[1]));
+    }
+
+    #[test]
+    fn site_bounds_same_epoch_conflict_is_none() {
+        let src = ".data\nxs: .dword 0\n.text\n\
+                   la x2, xs\ntid x1\nsd x1, 0(x2)\nbarrier\nhalt\n";
+        let prog = assemble(src).unwrap();
+        assert!(site_bounds(&prog, 2).is_none(), "same-slot writes conflict");
+        assert!(site_bounds(&prog, 1).is_some(), "single thread cannot conflict");
+    }
+
+    #[test]
+    fn site_bounds_barrier_separated_flag_is_some() {
+        let prog = assemble(BARRIER_SEPARATED_FLAG).unwrap();
+        assert!(site_bounds(&prog, 2).is_some());
+    }
+
+    #[test]
+    fn site_bounds_budget_and_faults_give_none() {
+        // `site_bounds`' own budget is 20M steps; the same walk with a
+        // small one shows that running out refuses certification.
+        let p = assemble("loop:\nj loop\n").unwrap();
+        let opts = DlpOptions { threads: 1, budget: 1000 };
+        let w = walk(&DecodedProgram::new(&p), &opts, true);
+        assert_eq!(w.notes, ["thread 0: budget of 1000 concrete steps exhausted"]);
+        let p2 = assemble("jr x5\n").unwrap(); // wild jump faults
+        assert!(site_bounds(&p2, 1).is_none());
     }
 }

@@ -32,6 +32,7 @@ use vlt_isa::{decode, disasm, Inst, Program};
 
 use crate::cfg::Cfg;
 use crate::diag::{Code, Diagnostic, Options, Report};
+use crate::dlp::SiteBounds;
 use crate::footprint::{
     analyze_tid, clb, cub, div_ceil, div_floor, Access, Env, Form, Qty, Rng, SlotKind, TidRun, Var,
     VarId,
@@ -124,8 +125,8 @@ fn analyze(prog: &Program, nthr: usize) -> RaceOut {
     }
 
     // Lazy refinement: only when the symbolic pass still sees potential
-    // conflicts, ask the static DLP walker for exact, schedule-independent
-    // per-thread address hulls and re-check with provably-disjoint pairs
+    // conflicts, ask the DLP walk for certified, schedule-independent
+    // per-thread access sets and re-check with provably-disjoint pairs
     // pruned. Clean programs never pay for the walk; tid-tiled kernels the
     // symbolic footprints over-approximate (e.g. emergent per-thread
     // bounds threaded through memory) come back clean here.
@@ -572,22 +573,12 @@ impl Env for PairEnv<'_> {
     }
 }
 
-/// Exact per-(site, barrier-epoch) access sets (sorted disjoint `[lo, hi)`
-/// ranges) for one thread, from [`crate::dlp::site_bounds`] — the DLP
-/// walker's hulls, or the observed walk's exact sets when the walker
-/// refuses. Two lemmas fall out of pruning with these: *partition* (hulls
-/// confined to per-thread disjoint ranges never overlap) and
-/// *injectivity/permutation* (hulls overlap, but the exact sets of a
-/// provably-injective scatter — radix's exclusive-prefix-sum shape —
-/// interleave without intersecting).
-type SiteHulls = BTreeMap<usize, BTreeMap<u64, Vec<(u64, u64)>>>;
-
 fn check_pair(
     cfg: &Cfg,
     a: &TidRun,
     b: &TidRun,
     anchored: &[bool],
-    bounds: Option<(&SiteHulls, &SiteHulls)>,
+    bounds: Option<(&SiteBounds, &SiteBounds)>,
     seen: &mut BTreeSet<(usize, usize, Code)>,
     out: &mut RaceOut,
 ) {
@@ -598,16 +589,21 @@ fn check_pair(
                 continue;
             }
             if let Some((ha, hb)) = bounds {
-                // A site absent from a thread's hull map was never
-                // executed by that thread. A conflict needs both accesses
-                // in the same barrier epoch, so the pair survives only if
-                // some epoch's hulls spatially overlap.
+                // The certified per-(site, epoch) access sets of the DLP
+                // walk (`dlp::site_bounds`). A site absent from a thread's
+                // map was never executed by that thread. A conflict needs
+                // both accesses in the same barrier epoch, so the pair
+                // survives only if some epoch's sets share a byte. Two
+                // lemmas fall out: *partition* (sets confined to
+                // per-thread disjoint ranges never meet) and
+                // *injectivity/permutation* (the hulls overlap, but the
+                // element sets of a provably injective scatter — radix's
+                // exclusive-prefix-sum shape — interleave without
+                // meeting).
                 let (Some(ea), Some(eb)) = (ha.get(&aa.sidx), hb.get(&ab.sidx)) else {
                     continue;
                 };
-                let overlap = ea.iter().any(|(e, la)| {
-                    eb.get(e).is_some_and(|lb| crate::content::ranges_overlap(la, lb))
-                });
+                let overlap = ea.iter().any(|(e, la)| eb.get(e).is_some_and(|lb| la.overlaps(lb)));
                 if !overlap {
                     continue;
                 }

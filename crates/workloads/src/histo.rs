@@ -16,8 +16,9 @@
 //! Verification interest: the scatter's destinations come through memory
 //! (the rank scratch), steered by offsets another thread wrote — beyond
 //! any per-thread symbolic walk. The race analysis discharges it with the
-//! observed epoch-synchronous walk: the per-epoch destination sets are a
-//! permutation of `out`, exactly the injectivity lemma. Zero allows.
+//! DLP walk's certified epoch-synchronous access sets: the per-epoch
+//! destination sets are a permutation of `out`, exactly the injectivity
+//! lemma. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

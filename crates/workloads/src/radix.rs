@@ -209,8 +209,8 @@ impl Workload for Radix {
         # hist/offs slot footprints across neighbouring threads' slots.
         # The slot partition is disjoint by construction and the scatter
         # targets are disjoint because the prefix sum is exclusive per
-        # (bucket, thread): exactly the permutation lemma the observed
-        # epoch-synchronous walk certifies, so the race analysis discharges
+        # (bucket, thread): exactly the permutation lemma the DLP walk's
+        # epoch-synchronous access sets certify, so the race analysis discharges
         # every pair here without allow annotations.
         tid     x10
         li      x11, {keys_per_thread}

@@ -4,12 +4,15 @@
 //! simulator's operation-level Table-4 metrics within the paper-level
 //! tolerances — average VL within 10%, % vectorization within 5 points,
 //! identical most-common VL — and its partition advisor must pick the
-//! empirically best flat VLTCFG for each kernel.
+//! empirically best flat VLTCFG for each kernel. At 2, 4 and 8 threads the
+//! shared-memory walk must certify all 13 kernels (suite and irregular)
+//! and match the multi-threaded run bit for bit.
 
 use vlt_exec::FuncSim;
-use vlt_verify::dlp::{advise, analyze, DlpOptions};
+use vlt_verify::dlp::{advise, analyze, site_bounds, DlpOptions};
 use vlt_workloads::characterize::characterize;
 use vlt_workloads::common::Scale;
+use vlt_workloads::irregular_suite;
 use vlt_workloads::suite::suite;
 
 #[test]
@@ -58,6 +61,28 @@ fn static_profile_is_bit_exact_against_funcsim() {
         assert_eq!(p.total.vector_insts, s.vector_insts, "{}", w.name());
         assert_eq!(p.total.elem_ops, s.elem_ops, "{}", w.name());
         assert_eq!(p.total.vl_histogram.as_slice(), s.vl_histogram.as_slice(), "{}", w.name());
+    }
+}
+
+#[test]
+fn multithreaded_profile_is_bit_exact_against_funcsim() {
+    for w in suite().into_iter().chain(irregular_suite()) {
+        for threads in [2, 4, 8] {
+            // Eight vector threads need the two-cluster spread for their MVL.
+            let clusters = if threads > w.max_threads() { 2 } else { 1 };
+            let built = w.build_spread(threads, clusters, Scale::Test);
+            let what = format!("{} x{threads}", w.name());
+            let p = analyze(&built.program, &DlpOptions { threads, ..DlpOptions::default() });
+            assert!(p.exact, "{what}: {:?}", p.notes);
+            let mut sim = FuncSim::new(&built.program, threads);
+            let s = sim.run_to_completion(2_000_000_000).unwrap();
+            assert_eq!(p.total.insts, s.insts, "{what}");
+            assert_eq!(p.total.scalar_ops, s.scalar_ops, "{what}");
+            assert_eq!(p.total.vector_insts, s.vector_insts, "{what}");
+            assert_eq!(p.total.elem_ops, s.elem_ops, "{what}");
+            assert_eq!(p.total.vl_histogram.as_slice(), s.vl_histogram.as_slice(), "{what}");
+            assert!(site_bounds(&built.program, threads).is_some(), "{what}: no site bounds");
+        }
     }
 }
 

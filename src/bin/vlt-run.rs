@@ -17,6 +17,7 @@ use std::process::ExitCode;
 use vlt::core::{System, SystemConfig};
 use vlt::exec::FuncSim;
 use vlt::isa::asm::assemble;
+use vlt::isa::MAX_VL;
 
 fn config_by_name(name: &str, lanes: usize) -> Option<SystemConfig> {
     Some(match name {
@@ -34,6 +35,15 @@ fn config_by_name(name: &str, lanes: usize) -> Option<SystemConfig> {
     })
 }
 
+/// Most software threads the functional simulator runs.
+const MAX_THREADS: usize = 64;
+
+/// The value after flag `name` at `args[i]`, parsed.
+fn value<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Result<T, String> {
+    let v = args.get(i).ok_or_else(|| format!("{name} needs a value"))?;
+    v.parse().map_err(|_| format!("{name} needs a non-negative integer, got `{v}`"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut input = None;
@@ -44,24 +54,28 @@ fn main() -> ExitCode {
     let mut max_cycles = 2_000_000_000u64;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let parsed = match args[i].as_str() {
             "--config" | "-c" => {
                 i += 1;
                 config = args.get(i).cloned().unwrap_or_default();
+                Ok(())
             }
             "--threads" | "-t" => {
                 i += 1;
-                threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(1);
+                value(&args, i, "--threads").map(|v| threads = v)
             }
             "--lanes" => {
                 i += 1;
-                lanes = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(8);
+                value(&args, i, "--lanes").map(|v| lanes = v)
             }
             "--max-cycles" => {
                 i += 1;
-                max_cycles = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(max_cycles);
+                value(&args, i, "--max-cycles").map(|v| max_cycles = v)
             }
-            "--functional" | "-f" => functional = true,
+            "--functional" | "-f" => {
+                functional = true;
+                Ok(())
+            }
             "-h" | "--help" => {
                 eprintln!(
                     "usage: vlt-run <program.s> [--config NAME] [--threads N] \
@@ -71,13 +85,46 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => input = Some(other.to_string()),
+            other => {
+                input = Some(other.to_string());
+                Ok(())
+            }
+        };
+        if let Err(e) = parsed {
+            eprintln!("vlt-run: {e}");
+            return ExitCode::FAILURE;
         }
         i += 1;
     }
     let Some(input) = input else {
         eprintln!("usage: vlt-run <program.s> [--config NAME] [--threads N] ... (see --help)");
         return ExitCode::FAILURE;
+    };
+    if !(1..=MAX_THREADS).contains(&threads) {
+        eprintln!("vlt-run: --threads must be between 1 and {MAX_THREADS}, got {threads}");
+        return ExitCode::FAILURE;
+    }
+    if !(1..=MAX_VL).contains(&lanes) {
+        eprintln!("vlt-run: --lanes must be between 1 and {MAX_VL}, got {lanes}");
+        return ExitCode::FAILURE;
+    }
+    // Check the machine before reading the program, so a bad command line
+    // fails the same way whatever the input.
+    let cfg = if functional {
+        None
+    } else {
+        let Some(cfg) = config_by_name(&config, lanes) else {
+            eprintln!("vlt-run: unknown config `{config}` (see --help)");
+            return ExitCode::FAILURE;
+        };
+        // One context per thread, and one lane partition per vector thread.
+        let limit =
+            if cfg.has_vu { cfg.max_threads().min(cfg.vlt_threads) } else { cfg.max_threads() };
+        if threads > limit {
+            eprintln!("vlt-run: config {} runs at most {limit} thread(s), got {threads}", cfg.name);
+            return ExitCode::FAILURE;
+        }
+        Some(cfg)
     };
 
     let src = match std::fs::read_to_string(&input) {
@@ -95,7 +142,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if functional {
+    let Some(cfg) = cfg else {
         let mut sim = FuncSim::new(&prog, threads);
         match sim.run_to_completion(max_cycles) {
             Ok(s) => {
@@ -112,12 +159,8 @@ fn main() -> ExitCode {
             }
         }
         return ExitCode::SUCCESS;
-    }
-
-    let Some(cfg) = config_by_name(&config, lanes) else {
-        eprintln!("vlt-run: unknown config `{config}` (see --help)");
-        return ExitCode::FAILURE;
     };
+
     let name = cfg.name.clone();
     let mut system = System::new(cfg, &prog, threads);
     match system.run(max_cycles) {
