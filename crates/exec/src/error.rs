@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use vlt_isa::Op;
+
 /// Errors raised by the functional simulator.
 ///
 /// The machine is deliberately forgiving about data accesses (reads of
@@ -39,6 +41,16 @@ pub enum ExecError {
         /// PC of the offending `setvl`.
         pc: u64,
     },
+    /// A vector instruction reached a lane core, which runs a scalar
+    /// thread and has no vector unit to send it to.
+    VectorOnLaneCore {
+        /// Faulting thread.
+        tid: usize,
+        /// Static index of the vector instruction.
+        sidx: u32,
+        /// Its opcode.
+        op: Op,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -56,6 +68,11 @@ impl fmt::Display for ExecError {
             ExecError::ZeroVl { tid, pc } => {
                 write!(f, "thread {tid}: setvl of 0 at {pc:#x}")
             }
+            ExecError::VectorOnLaneCore { tid, sidx, op } => write!(
+                f,
+                "thread {tid}: vector instruction `{op}` (sidx {sidx}) on a lane core, which has \
+                 no vector unit"
+            ),
         }
     }
 }

@@ -19,9 +19,11 @@
 //! Mirroring [`crate::checker`], a predictor built from the static side
 //! (`vlt_verify::predicted_race_sites`) can be installed; every dynamic
 //! conflict is then `debug_assert`ed to involve only statically-predicted
-//! sites. The static analysis is conservative by construction, so a dynamic
-//! race it did not predict means one of the two implementations is wrong —
-//! this is the cross-validation that keeps them honest.
+//! sites. The static side predicts no site when its concrete walk
+//! certifies the program race-free under every interleaving, and every
+//! reachable memory site otherwise, so a dynamic race it did not predict
+//! means the certification is wrong — this is the cross-validation that
+//! keeps the two honest.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

@@ -243,10 +243,13 @@ impl InOrderCore {
             }
 
             let si = self.prog.get(d.sidx as usize);
-            assert!(
-                !si.class.is_vector(),
-                "vector instruction on a lane core running a scalar thread"
-            );
+            if si.class.is_vector() {
+                return Err(ExecError::VectorOnLaneCore {
+                    tid: self.thread,
+                    sidx: d.sidx,
+                    op: si.inst.op,
+                });
+            }
 
             // In-order: stall the whole front end on an unready operand.
             let operands_ready =

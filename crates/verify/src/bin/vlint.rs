@@ -18,7 +18,8 @@
 //!   --dlp[=N]         also run the static DLP analysis at N threads
 //!                     (default 1): prints the predicted Table-4 profile
 //!                     and VLTCFG partition advice, and surfaces the
-//!                     analyzer's diagnostics (`dlp-*` codes)
+//!                     analyzer's diagnostics (`dlp-*` codes). At the race
+//!                     thread count both come from one walk.
 //!   --list-codes      print every lint code with severity and description
 //!   -q, --quiet       print nothing for clean files
 //! ```
@@ -31,9 +32,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use vlt_isa::asm::assemble;
-use vlt_verify::dlp::{advise, dlp_report, DlpOptions};
+use vlt_verify::dlp::{advise, analyze, dlp_diagnostics, DlpOptions};
 use vlt_verify::json::{quote, report_to_json};
-use vlt_verify::{check_races_with, verify_with, Code, Options};
+use vlt_verify::{check_races_and_profile, check_races_with, verify_with, Code, Options};
 
 struct Cli {
     strict: bool,
@@ -187,30 +188,36 @@ fn main() -> ExitCode {
         // "the checker itself fell over" (2).
         let analysis = std::panic::catch_unwind(|| {
             let mut report = verify_with(&prog, &opts);
-            if let Some(n) = cli.races {
-                let threads =
-                    n.or_else(|| prog.symbol("vlint.threads").map(|v| v as usize)).unwrap_or(2);
-                let races = check_races_with(&prog, threads, &opts);
+            let race_threads = cli.races.map(|n| {
+                n.or_else(|| prog.symbol("vlint.threads").map(|v| v as usize)).unwrap_or(2)
+            });
+            let dlp_threads = cli.dlp.map(|n| n.unwrap_or(1));
+            // At one thread count the race verdict and the profile come
+            // from one walk.
+            let (races, profile) = match (race_threads, dlp_threads) {
+                (Some(r), Some(d)) if r == d => {
+                    let (races, profile) = check_races_and_profile(&prog, r, &opts);
+                    (Some(races), Some(profile))
+                }
+                (r, d) => (
+                    r.map(|threads| check_races_with(&prog, threads, &opts)),
+                    d.map(|threads| {
+                        analyze(&prog, &DlpOptions { threads, ..DlpOptions::default() })
+                    }),
+                ),
+            };
+            if let Some(races) = races {
                 report.diags.extend(races.diags);
                 report.suppressed += races.suppressed;
             }
-            let dlp = cli.dlp.map(|n| {
-                let threads = n.unwrap_or(1);
-                let (profile, diags) =
-                    dlp_report(&prog, &DlpOptions { threads, ..DlpOptions::default() });
-                let mut kept = 0;
-                for d in diags {
-                    if opts.allow.contains(&d.code) {
-                        report.suppressed += 1;
-                    } else {
-                        report.diags.push(d);
-                        kept += 1;
-                    }
+            for d in profile.iter().flat_map(|p| dlp_diagnostics(&prog, p)) {
+                if opts.allow.contains(&d.code) {
+                    report.suppressed += 1;
+                } else {
+                    report.diags.push(d);
                 }
-                let _ = kept;
-                profile
-            });
-            (report, dlp)
+            }
+            (report, profile)
         });
         let (report, dlp_profile) = match analysis {
             Ok(r) => r,

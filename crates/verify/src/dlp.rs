@@ -1,14 +1,14 @@
 //! Static DLP & occupancy analysis, and the concrete walk behind the race
-//! checker's site bounds (DESIGN.md §13).
+//! checker (DESIGN.md §13).
 //!
 //! Predicts, without running the functional simulator, the Table-4
 //! quantities of the paper — the VL histogram, the vectorization
 //! percentage, the scalar/vector operation ratio, and the stride/bank
 //! behavior of vector memory ops — per program, per `region` marker, and
 //! per barrier epoch, and turns them into VLTCFG partition advice
-//! (`vladvise` in `vlt-bench`, `vlint --dlp` here). The same walk
-//! certifies the per-(site, epoch) access sets [`site_bounds`] hands the
-//! race analysis.
+//! (`vladvise` in `vlt-bench`, `vlint --dlp` here). The same walk decides
+//! barrier-epoch races (behind [`crate::check_races_with`]) and certifies the per-(site, epoch) access
+//! sets [`site_bounds`] returns.
 //!
 //! # How the analysis stays exact
 //!
@@ -24,16 +24,25 @@
 //!   — so a completed walk is exact, and an incomplete one is reported as
 //!   a partial lower bound ([`DlpProfile::exact`] = false, `dlp-inexact`).
 //! * **loop acceleration**: a self-looping basic block whose integer
-//!   effect is verified linear (two trial iterations with equal deltas, a
-//!   fixed point of the block's affine update, hence stable forever) has
-//!   its remaining trip count solved in closed form from the loop branch,
-//!   and `k` iterations of statistics are committed in O(1). Values the
+//!   effect is verified affine in the iteration count has its remaining
+//!   trip count solved in closed form from the loop branch, and `k`
+//!   iterations of statistics are committed in O(1). Two trial iterations
+//!   must show equal register deltas, and every integer result must be
+//!   affine along the trajectory: `add`/`sub`/`addi` and `slli` (a
+//!   multiply by `2^imm` modulo `2^64`) always are; a `mul` is when one
+//!   operand is equal in both trials; any other integer result must see
+//!   equal inputs in both trials. By induction over the block every value
+//!   is then `u + j·v` at iteration `j` (an operand equal at `j = 0` and
+//!   `j = 1` has `v = 0`, so it is constant, and a constant times an
+//!   affine value is affine), so the deltas hold forever. Values the
 //!   summary cannot reproduce (FP/vector state, moving stores) are marked
 //!   untrusted rather than guessed, and the solved `k` is clamped to
 //!   windows in which the closed form provably matches the wrapping
 //!   machine arithmetic — underestimating `k` is always safe because the
-//!   loop simply continues concretely. A walk that an untrusted value
-//!   poisons is retried once with acceleration off.
+//!   loop simply continues concretely. A loop whose branch operands do
+//!   not move and whose branch stays taken never terminates, and the walk
+//!   stops there. A walk that an untrusted value poisons is retried once
+//!   with acceleration off.
 //!
 //! # Threads: one schedule that stands for all of them
 //!
@@ -57,24 +66,26 @@
 //! under every schedule. A walk in which every thread reaches `halt`
 //! unpoisoned and whose recorded sets hold no conflict is therefore
 //! exact for every interleaving: its counts are the functional
-//! simulator's, and its sets bound every access any schedule makes
-//! ([`site_bounds`]). A conflict leaves the profile inexact with a note
-//! naming the epoch and one site of each thread; a conflicting
-//! accelerated walk is retried without acceleration, whose sets are
-//! exact.
-
-use std::collections::BTreeMap;
+//! simulator's, its sets bound every access any schedule makes
+//! ([`site_bounds`]), and the program is race-free
+//! (`RaceVerdict::Certified`). The epoch-synchronous schedule is itself
+//! a legal one, so a conflict between two exact sets is a real race with
+//! a concrete witness (`Conflict`); it leaves the profile inexact with
+//! a note naming the first one. A conflicting accelerated walk is retried
+//! without acceleration, whose sets are exact except where a set outgrew
+//! 8192 ranges and collapsed to its hull.
+use std::collections::{BTreeMap, BTreeSet};
 
 use vlt_exec::{
     interp, AddrArena, ArchState, DecodedProgram, DynInst, DynKind, Memory, StaticInst,
 };
-use vlt_isa::{disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
+use vlt_isa::{decode, disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
 
 use crate::cfg::{Cfg, Term};
 use crate::diag::{Code, Diagnostic};
 
-/// Upper bound on a single committed trip count, far above any real loop
-/// but small enough that `k * per_iteration_counts` cannot overflow `u64`.
+/// Upper bound on a single committed trip count, far above any real loop.
+/// The counters a commit scales saturate rather than wrap.
 const K_CAP: i128 = 1 << 40;
 
 /// L2 bank count for the bank-conflict classification of strided and
@@ -90,17 +101,15 @@ const EPOCH_CAP: usize = 64;
 
 /// A (site, epoch) access set of more ranges than this collapses to its
 /// hull. The cap must comfortably exceed the element count of the
-/// scatters the race analysis' permutation lemma certifies: a hull can
-/// only prune, never tell interleaved-but-disjoint sets apart.
+/// scatters the walk certifies (radix's permutation through an exclusive
+/// prefix sum): a hull cannot tell interleaved-but-disjoint sets apart.
 const MAX_RANGES: usize = 8192;
 
 /// Per-thread cap on distinct (site, epoch) access sets.
 const MAX_KEYS: usize = 1 << 16;
 
-/// Concrete steps per thread the [`site_bounds`] walk may take.
-const BOUNDS_BUDGET: u64 = 20_000_000;
-
-/// Options for [`analyze`].
+/// Options for [`analyze`]. The race checker and [`site_bounds`] walk
+/// under the default budget.
 #[derive(Debug, Clone)]
 pub struct DlpOptions {
     /// Thread count to analyze under (1 = the serial walk).
@@ -246,14 +255,16 @@ impl Profile {
         }
     }
 
-    /// Add `k` copies of `other` (loop-acceleration commit, merging).
+    /// Add `k` copies of `other` (loop-acceleration commit, merging),
+    /// saturating at `u64::MAX`.
     fn add_scaled(&mut self, other: &Profile, k: u64) {
-        self.insts += other.insts * k;
-        self.scalar_ops += other.scalar_ops * k;
-        self.vector_insts += other.vector_insts * k;
-        self.elem_ops += other.elem_ops * k;
-        for (a, b) in self.vl_histogram.iter_mut().zip(other.vl_histogram.iter()) {
-            *a += b * k;
+        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b.saturating_mul(k));
+        add(&mut self.insts, other.insts);
+        add(&mut self.scalar_ops, other.scalar_ops);
+        add(&mut self.vector_insts, other.vector_insts);
+        add(&mut self.elem_ops, other.elem_ops);
+        for (a, &b) in self.vl_histogram.iter_mut().zip(other.vl_histogram.iter()) {
+            add(a, b);
         }
     }
 
@@ -387,6 +398,9 @@ struct WalkOut {
     sets: SiteBounds,
     /// Distinct (site, epoch) keys in `sets`.
     keys: usize,
+    /// The (site, epoch) keys whose set is a superset of the bytes touched:
+    /// it holds an extrapolated loop span or collapsed to its hull.
+    approx: BTreeSet<(usize, u64)>,
 }
 
 impl WalkOut {
@@ -407,9 +421,10 @@ impl WalkOut {
         let set = per.entry(epoch).or_default();
         set.insert(lo, hi);
         if set.0.len() > MAX_RANGES {
-            // A hull is a superset: sound for pruning, and a false
-            // conflict only costs exactness.
+            // A hull is a superset: it still bounds the accesses, and a
+            // conflict it makes up is no concrete witness.
             *set = RangeSet(vec![(set.0[0].0, set.0[set.0.len() - 1].1)]);
+            self.approx.insert((sidx, epoch));
         }
         Ok(())
     }
@@ -467,6 +482,9 @@ struct Trial {
     /// Input values of non-affine integer-writing instructions, in
     /// execution order (must repeat exactly between runs).
     nl_vals: [Vec<u64>; 2],
+    /// Operand pairs of `mul`s, in execution order: each needs one operand
+    /// that repeats between runs.
+    mul_vals: [Vec<[u64; 2]>; 2],
     sites: [Vec<SiteRec>; 2],
     /// Loop-branch operand values (rs1, rs2) per run.
     branch_vals: [[u64; 2]; 2],
@@ -648,6 +666,7 @@ impl Thread {
                         x: [self.st.x, [0; 32]],
                         prof: [Profile::default(), Profile::default()],
                         nl_vals: [Vec::new(), Vec::new()],
+                        mul_vals: [Vec::new(), Vec::new()],
                         sites: [Vec::new(), Vec::new()],
                         branch_vals: [[0; 2]; 2],
                     });
@@ -658,11 +677,15 @@ impl Thread {
             // sources) and the stored value / stride for site records.
             let mut nl_capture: Option<Vec<u64>> = None;
             let mut store_value = 0u64;
-            if let Some(t) = &self.trial {
+            if let Some(t) = &mut self.trial {
                 if t.runs < 2 {
                     let inst = &si.inst;
                     let writes_x = si.defs.iter().any(|d| matches!(d, RegRef::I(_)));
-                    if writes_x && !matches!(inst.op, Op::Add | Op::Sub | Op::Addi) {
+                    if inst.op == Op::Mul {
+                        t.mul_vals[t.runs].push([self.st.get_x(inst.rs1), self.st.get_x(inst.rs2)]);
+                    } else if writes_x
+                        && !matches!(inst.op, Op::Add | Op::Sub | Op::Addi | Op::Slli)
+                    {
                         let vals: Vec<u64> = si
                             .uses
                             .iter()
@@ -682,10 +705,7 @@ impl Thread {
                         store_value = self.st.get_x(inst.rd);
                     }
                     if sidx == t.block.branch {
-                        let vals = [self.st.get_x(inst.rs1), self.st.get_x(inst.rs2)];
-                        if let Some(t) = &mut self.trial {
-                            t.branch_vals[t.runs] = vals;
-                        }
+                        t.branch_vals[t.runs] = [self.st.get_x(inst.rs1), self.st.get_x(inst.rs2)];
                     }
                 }
             }
@@ -958,9 +978,12 @@ impl Thread {
             }
             delta[r] = d1;
         }
-        // Non-affine integer results must have had identical inputs, and
-        // both runs must have followed the identical path.
-        if t.nl_vals[0] != t.nl_vals[1] || t.prof[0] != t.prof[1] {
+        // Non-affine integer results must have had identical inputs, every
+        // `mul` one repeated operand, and both runs must have followed the
+        // identical path.
+        let mul_affine = t.mul_vals[0].len() == t.mul_vals[1].len()
+            && t.mul_vals[0].iter().zip(&t.mul_vals[1]).all(|(a, b)| a[0] == b[0] || a[1] == b[1]);
+        if t.nl_vals[0] != t.nl_vals[1] || !mul_affine || t.prof[0] != t.prof[1] {
             return Ok(());
         }
         if t.sites[0].len() != t.sites[1].len() {
@@ -1003,10 +1026,10 @@ impl Thread {
                 Some((v - lo_w) / -d)
             }
         };
-        let mut cap: Option<i128> = Some(K_CAP);
+        let mut cap = K_CAP;
         let mut tighten = |w: Option<i128>| {
             if let Some(w) = w {
-                cap = Some(cap.map_or(w, |c| c.min(w)));
+                cap = cap.min(w);
             }
         };
         tighten(window(av, da as i128));
@@ -1079,15 +1102,14 @@ impl Thread {
             _ => Some(0),
         };
 
-        let k = match (n_cond, cap) {
-            (None, None) => {
-                // Nothing ever changes and the branch stays taken: the
-                // program provably never terminates.
+        let k = match n_cond {
+            // The branch operands never move and the branch stays taken:
+            // the loop provably never terminates.
+            None if da == 0 && db == 0 => {
                 return Err(Bail::Fatal(format!("non-terminating loop at sidx {}", t.block.head)));
             }
-            (None, Some(c)) => c,
-            (Some(n), None) => n,
-            (Some(n), Some(c)) => n.min(c),
+            None => cap,
+            Some(n) => n.min(cap),
         };
         if k <= 0 {
             return Ok(());
@@ -1127,6 +1149,7 @@ impl Thread {
             let (_, slo, shi, d) = spans[i];
             if sh.record {
                 self.out.record(rec.sidx, ek, slo, shi - slo)?;
+                self.out.approx.insert((rec.sidx, ek));
             }
             match rec.kind {
                 SiteKind::Load => {}
@@ -1158,9 +1181,9 @@ impl Thread {
                 if rec.elems > 0
                     || matches!(sh.prog.get(rec.sidx).class, OpClass::VLoad | OpClass::VStore)
                 {
-                    v.execs += k;
-                    v.elems += rec.elems * k;
-                    v.conflict_execs += rec.conflict as u64 * k;
+                    v.execs = v.execs.saturating_add(k);
+                    v.elems = v.elems.saturating_add(rec.elems.saturating_mul(k));
+                    v.conflict_execs = v.conflict_execs.saturating_add(rec.conflict as u64 * k);
                 }
             }
         }
@@ -1188,14 +1211,17 @@ impl Thread {
 struct Walk {
     outs: Vec<WalkOut>,
     notes: Vec<String>,
+    /// The walk stopped before every thread halted.
+    bailed: bool,
     /// The failure may not recur without acceleration: a poisoned value,
     /// or a conflict that extrapolated spans may have made up.
     retry: bool,
+    /// Same-epoch conflicts, when every thread halted.
+    conflicts: Vec<Conflict>,
 }
 
 /// Walk every thread in the epoch-synchronous schedule (module docs) with
-/// the given accelerable loops, then scan the access sets for a
-/// conflict.
+/// the given accelerable loops, then scan the access sets for conflicts.
 fn walk_once(
     prog: &DecodedProgram,
     opts: &DlpOptions,
@@ -1223,42 +1249,49 @@ fn walk_once(
         }
     }
     let outs: Vec<WalkOut> = threads.into_iter().map(|t| t.out).collect();
-    let (notes, retry) = match bail {
-        Some((tid, b)) => {
-            let retry = matches!(b, Bail::Poison(_));
-            let why = match b {
-                Bail::Poison(why) | Bail::Fatal(why) => why,
-                Bail::Budget => format!("budget of {} concrete steps exhausted", opts.budget),
-            };
-            (vec![format!("thread {tid}: {why}")], retry)
-        }
-        None => match first_conflict(prog, &outs) {
-            Some(note) => (vec![note], true),
-            None => (Vec::new(), false),
-        },
+    let Some((tid, b)) = bail else {
+        let (conflicts, note) = conflicts(prog, &outs);
+        let retry = note.is_some();
+        return Walk { outs, notes: note.into_iter().collect(), bailed: false, retry, conflicts };
     };
-    Walk { outs, notes, retry }
+    let retry = matches!(b, Bail::Poison(_));
+    let why = match b {
+        Bail::Poison(why) | Bail::Fatal(why) => why,
+        Bail::Budget => format!("budget of {} concrete steps exhausted", opts.budget),
+    };
+    let notes = vec![format!("thread {tid}: {why}")];
+    Walk { outs, notes, bailed: true, retry, conflicts: Vec::new() }
 }
 
 /// The walk: accelerated first; when that poisons or conflicts, once more
-/// fully concrete, keeping whichever got further.
-fn walk(prog: &DecodedProgram, opts: &DlpOptions, record: bool) -> Walk {
+/// fully concrete (no value is then untracked, and no access set holds an
+/// extrapolated span), keeping the concrete walk if it finished or got
+/// further. A text word that does not decode stops the walk before its
+/// first step.
+fn walk(prog: &Program, opts: &DlpOptions, record: bool) -> Walk {
+    if let Some(i) = prog.text.iter().position(|&w| decode(w).is_err()) {
+        let notes = vec![format!("text word {i} does not decode")];
+        return Walk { outs: Vec::new(), notes, bailed: true, retry: false, conflicts: Vec::new() };
+    }
+    let prog = &*DecodedProgram::new(prog);
     let blocks = accel_candidates(prog);
     let accelerated = !blocks.is_empty();
     let w = walk_once(prog, opts, blocks, record);
     if w.retry && accelerated {
         let w2 = walk_once(prog, opts, BTreeMap::new(), record);
         let insts = |w: &Walk| w.outs.iter().map(|o| o.total.insts).sum::<u64>();
-        if w2.notes.is_empty() || insts(&w2) > insts(&w) {
+        if !w2.bailed || insts(&w2) > insts(&w) {
             return w2;
         }
     }
     w
 }
 
-/// The first same-epoch cross-thread conflict in the walk's access sets,
-/// as a note naming the epoch and one site of each thread.
-fn first_conflict(prog: &DecodedProgram, outs: &[WalkOut]) -> Option<String> {
+/// Every same-epoch conflicting site pair in the walk's access sets, one
+/// witness per unordered pair of sites (the first in thread, epoch, site
+/// order, unless a later one is exact where it is not), with a note naming
+/// the first pair's witness.
+fn conflicts(prog: &DecodedProgram, outs: &[WalkOut]) -> (Vec<Conflict>, Option<String>) {
     let is_write = |sidx: usize| matches!(prog.get(sidx).class, OpClass::Store | OpClass::VStore);
     // Per thread, per epoch: the union of its write sets and of its reads.
     let unions: Vec<BTreeMap<u64, (RangeSet, RangeSet)>> = outs
@@ -1280,6 +1313,8 @@ fn first_conflict(prog: &DecodedProgram, outs: &[WalkOut]) -> Option<String> {
                 .collect()
         })
         .collect();
+    let mut found: Vec<Conflict> = Vec::new();
+    let mut by_pair: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for t1 in 0..outs.len() {
         for t2 in t1 + 1..outs.len() {
             for (&e, (w1, r1)) in &unions[t1] {
@@ -1290,27 +1325,44 @@ fn first_conflict(prog: &DecodedProgram, outs: &[WalkOut]) -> Option<String> {
                 let in_epoch = |t: usize| {
                     outs[t].sets.iter().filter_map(move |(&s, per)| Some((s, per.get(&e)?)))
                 };
-                let (s1, s2) = in_epoch(t1)
-                    .flat_map(|a| in_epoch(t2).map(move |b| (a, b)))
-                    .find(|((s1, a), (s2, b))| (is_write(*s1) || is_write(*s2)) && a.overlaps(b))
-                    .map(|((s1, _), (s2, _))| (s1, s2))
-                    .expect("overlapping unions have an overlapping pair of site sets");
-                return Some(format!(
-                    "threads {t1} and {t2} conflict in barrier epoch {e}: sidx {s1} and sidx \
-                     {s2} touch the same bytes and at least one writes"
-                ));
+                for (s1, a) in in_epoch(t1) {
+                    for (s2, b) in in_epoch(t2) {
+                        let key = (s1.min(s2), s1.max(s2));
+                        let known = by_pair.get(&key).copied();
+                        if known.is_some_and(|i| found[i].exact)
+                            || !(is_write(s1) || is_write(s2))
+                            || !a.overlaps(b)
+                        {
+                            continue;
+                        }
+                        let exact = !outs[t1].approx.contains(&(s1, e))
+                            && !outs[t2].approx.contains(&(s2, e));
+                        let c = Conflict { threads: (t1, t2), epoch: e, sites: (s1, s2), exact };
+                        match known {
+                            Some(i) if exact => found[i] = c,
+                            Some(_) => {}
+                            None => {
+                                by_pair.insert(key, found.len());
+                                found.push(c);
+                            }
+                        }
+                    }
+                }
             }
         }
     }
-    None
+    let note = found.first().map(|c| {
+        format!(
+            "threads {} and {} conflict in barrier epoch {}: sidx {} and sidx {} touch the same \
+             bytes and at least one writes",
+            c.threads.0, c.threads.1, c.epoch, c.sites.0, c.sites.1
+        )
+    });
+    (found, note)
 }
 
-/// Statically predict the program's DLP profile (Table-4 quantities) by
-/// the walk described in the module docs.
-pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
-    let dec = DecodedProgram::new(prog);
-    let w = walk(&dec, opts, opts.threads > 1);
-
+/// Merge the threads' outputs into one profile.
+fn profile(w: &Walk, threads: usize) -> DlpProfile {
     let mut total = Profile::default();
     let mut regions: BTreeMap<u32, RegionProfile> = BTreeMap::new();
     let mut epoch_profiles: Vec<Profile> = Vec::new();
@@ -1339,11 +1391,11 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
             vmem_sites
                 .entry(*s)
                 .and_modify(|e| {
-                    e.execs += v.execs;
-                    e.elems += v.elems;
+                    e.execs = e.execs.saturating_add(v.execs);
+                    e.elems = e.elems.saturating_add(v.elems);
                     e.min_stride = e.min_stride.min(v.min_stride);
                     e.max_stride = e.max_stride.max(v.max_stride);
-                    e.conflict_execs += v.conflict_execs;
+                    e.conflict_execs = e.conflict_execs.saturating_add(v.conflict_execs);
                 })
                 .or_insert_with(|| v.clone());
         }
@@ -1362,8 +1414,8 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
 
     DlpProfile {
         exact: w.notes.is_empty(),
-        notes: w.notes,
-        threads: opts.threads.max(1),
+        notes: w.notes.clone(),
+        threads: threads.max(1),
         total,
         regions: regions.into_values().collect(),
         epoch_profiles,
@@ -1371,6 +1423,57 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
         vmem_sites: vmem_sites.into_values().collect(),
         setvl_sites: setvl_sites.into_values().collect(),
     }
+}
+
+/// Statically predict the program's DLP profile (Table-4 quantities) by
+/// the walk described in the module docs.
+pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
+    analyze_with_races(prog, opts).0
+}
+
+/// Two threads touching a common byte in one barrier epoch, at least one
+/// of them writing, as the walk saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Conflict {
+    /// The two threads, lower id first.
+    pub threads: (usize, usize),
+    /// The barrier epoch.
+    pub epoch: u64,
+    /// Each thread's access site (static instruction index), in the order
+    /// of `threads`.
+    pub sites: (usize, usize),
+    /// Both sites' sets in this epoch hold exactly the bytes touched, so
+    /// the walk's schedule really makes the two accesses meet. False when
+    /// either set is an extrapolated loop span or a collapsed hull.
+    pub exact: bool,
+}
+
+/// What the walk at [`DlpOptions::threads`] threads says about
+/// barrier-epoch races (module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RaceVerdict {
+    /// Every thread halted unpoisoned and no two threads conflict: no
+    /// schedule has a race.
+    Certified,
+    /// Every thread halted, and these site pairs conflict (one witness
+    /// per unordered pair, in scan order).
+    Conflicts(Vec<Conflict>),
+    /// The walk stopped before every thread halted; the note says why.
+    Unknown(String),
+}
+
+/// The DLP profile and the race verdict of one walk: [`analyze`] plus
+/// what the walk's access sets say about races.
+pub(crate) fn analyze_with_races(prog: &Program, opts: &DlpOptions) -> (DlpProfile, RaceVerdict) {
+    let w = walk(prog, opts, opts.threads > 1);
+    let verdict = if w.bailed {
+        RaceVerdict::Unknown(w.notes.join("; "))
+    } else if w.conflicts.is_empty() {
+        RaceVerdict::Certified
+    } else {
+        RaceVerdict::Conflicts(w.conflicts.clone())
+    };
+    (profile(&w, opts.threads), verdict)
 }
 
 /// One thread's access sets: static instruction index → barrier epoch →
@@ -1381,13 +1484,13 @@ pub type SiteBounds = BTreeMap<usize, BTreeMap<u64, RangeSet>>;
 
 /// Per-thread access sets for every (site, barrier-epoch) pair, over loads
 /// and stores. `Some` only when the walk at `threads` threads certifies
-/// (module docs): every thread halts unpoisoned within the step budget and
-/// no two threads conflict within an epoch. The sets then bound the
-/// accesses of every interleaving, and a site absent from a thread's map
-/// is one that thread never executes, in any schedule.
+/// (module docs): every thread halts unpoisoned within the default step
+/// budget and no two threads conflict within an epoch. The sets then
+/// bound the accesses of every interleaving, and a site absent from a
+/// thread's map is one that thread never executes, in any schedule.
 pub fn site_bounds(prog: &Program, threads: usize) -> Option<Vec<SiteBounds>> {
-    let opts = DlpOptions { threads, budget: BOUNDS_BUDGET };
-    let w = walk(&DecodedProgram::new(prog), &opts, true);
+    let opts = DlpOptions { threads, ..DlpOptions::default() };
+    let w = walk(prog, &opts, true);
     w.notes.is_empty().then(|| w.outs.into_iter().map(|o| o.sets).collect())
 }
 
@@ -1866,6 +1969,79 @@ mod tests {
         assert_eq!(p.total.scalar_ops, s.scalar_ops);
     }
 
+    /// mxm's `kloop` shape: a row index times a loop-invariant row length,
+    /// plus the induction variable, scaled by `slli`; and the induction
+    /// variable times the row length. Both address chains are affine.
+    const MXM_KLOOP: &str = ".data\na: .space 64\n.text\n\
+        li x20, 16\nli x14, 3\nli x30, 20000\nla x21, a\nli x18, 0\n\
+        kloop:\nmul x19, x14, x20\nadd x19, x19, x18\nslli x19, x19, 3\nadd x19, x19, x21\n\
+        fld f1, 0(x19)\nmul x24, x18, x20\nslli x24, x24, 3\nadd x24, x24, x21\n\
+        fld f2, 0(x24)\nfadd f3, f1, f2\naddi x18, x18, 1\nblt x18, x30, kloop\nhalt\n";
+
+    #[test]
+    fn mul_by_invariant_and_slli_loops_accelerate_exactly() {
+        // 240k instructions in 2,000 concrete steps: only acceleration
+        // can finish, and the counts are the simulator's.
+        let prog = assemble(MXM_KLOOP).unwrap();
+        let p = analyze(&prog, &DlpOptions { budget: 2_000, ..DlpOptions::default() });
+        assert!(p.exact, "{:?}", p.notes);
+        let s = dynamic(&prog);
+        assert!(s.insts > 100 * 2_000, "{}", s.insts);
+        assert_eq!(p.total.insts, s.insts);
+        assert_eq!(p.total.scalar_ops, s.scalar_ops);
+        // The accelerated loads' extrapolated spans still cover every
+        // address the loop reads.
+        let tiles = MXM_KLOOP.replace("li x14, 3", "tid x14\nslli x14, x14, 14");
+        let prog = assemble(&tiles).unwrap();
+        let p = analyze(&prog, &DlpOptions { threads: 2, budget: 2_000 });
+        assert!(p.exact, "{:?}", p.notes);
+        let a = prog.symbol("a").unwrap();
+        let sets = site_bounds(&prog, 2).expect("read-only loops certify");
+        let fld2 = prog.decoded().iter().rposition(|i| i.op == Op::Fld).unwrap();
+        for set in sets.iter().map(|t| &t[&fld2][&0]) {
+            for addr in (0..20_000).map(|k| a + 8 * 16 * k) {
+                assert!(set.ranges().iter().any(|&(lo, hi)| lo <= addr && addr + 8 <= hi));
+            }
+        }
+    }
+
+    #[test]
+    fn mul_of_two_varying_operands_is_not_accelerated() {
+        // The store lands at i*i: the two trial iterations alone would
+        // extrapolate a linear span, so the block must stay concrete.
+        let src = ".data\nbuf: .space 320000\n.text\n\
+                   li x1, 0\nli x2, 200\nla x8, buf\n\
+                   loop:\nmul x5, x1, x1\nslli x5, x5, 3\nadd x7, x8, x5\nsd x1, 0(x7)\n\
+                   li x5, 0\nli x7, 0\naddi x1, x1, 1\nbne x1, x2, loop\nhalt\n";
+        let prog = assemble(src).unwrap();
+        let p = analyze(&prog, &DlpOptions { budget: 1_000, ..DlpOptions::default() });
+        assert_eq!(p.notes, ["thread 0: budget of 1000 concrete steps exhausted"]);
+        assert_matches_dynamic(src);
+    }
+
+    #[test]
+    fn always_taken_self_loop_is_non_terminating() {
+        // The branch operands never move: the walk stops at the first
+        // commit instead of committing 2^40 iterations per trial until the
+        // budget runs out, and the race checker reports the walk's note.
+        let prog = assemble("main:\nbeq x0, x0, main\n").unwrap();
+        let p = analyze(&prog, &DlpOptions::default());
+        assert_eq!(p.notes, ["thread 0: non-terminating loop at sidx 0"]);
+        assert!(p.total.insts < 10, "{}", p.total.insts);
+        let r = crate::check_races(&prog, 2);
+        assert_eq!(r.diags.len(), 1, "{r}");
+        assert_eq!(r.diags[0].code, Code::RaceUnknown);
+        assert!(r.diags[0].msg.contains("thread 0: non-terminating loop at sidx 0"), "{r}");
+    }
+
+    #[test]
+    fn scaled_counters_saturate() {
+        let mut p = Profile { insts: u64::MAX - 1, ..Profile::default() };
+        let one = Profile { insts: 3, elem_ops: 2, ..Profile::default() };
+        p.add_scaled(&one, 1 << 63);
+        assert_eq!((p.insts, p.elem_ops), (u64::MAX, u64::MAX));
+    }
+
     #[test]
     fn strip_mine_loop_histogram_is_exact() {
         // Classic strip-mined vector loop over 100 elements: 1 full VL-64
@@ -2078,9 +2254,14 @@ mod tests {
         // small one shows that running out refuses certification.
         let p = assemble("loop:\nj loop\n").unwrap();
         let opts = DlpOptions { threads: 1, budget: 1000 };
-        let w = walk(&DecodedProgram::new(&p), &opts, true);
+        let w = walk(&p, &opts, true);
         assert_eq!(w.notes, ["thread 0: budget of 1000 concrete steps exhausted"]);
         let p2 = assemble("jr x5\n").unwrap(); // wild jump faults
         assert!(site_bounds(&p2, 1).is_none());
+        let mut p3 = assemble("halt\n").unwrap();
+        p3.text.insert(0, 0xFF00_0000); // no opcode 0xFF
+        assert!(site_bounds(&p3, 2).is_none());
+        let p = analyze(&p3, &DlpOptions::default());
+        assert_eq!((p.exact, p.notes), (false, vec!["text word 0 does not decode".to_string()]));
     }
 }

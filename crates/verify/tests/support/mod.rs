@@ -312,14 +312,16 @@ pub fn race_mutants() -> Vec<Mutant> {
         ),
         // --- data-dependent addressing ---
         // The partial table is scattered through an index vector loaded
-        // from memory: the footprint cannot be bounded statically.
+        // from the table itself. It starts zeroed, so in thread order each
+        // thread scatters into its own slot, which the lower threads' index
+        // loads read in the same epoch.
         mutant(
             "scatter through loaded indices",
             m(
                 "    li      x8, 32             # byte stride = 8 * nthr_max\n    vsts    v2, x7, x8\n",
                 "    vld     v4, x7\n    vstx    v2, x7, v4\n",
             ),
-            &[Code::RaceUnknown],
+            &[Code::RaceRw],
         ),
     ]
 }

@@ -137,10 +137,9 @@ impl Workload for Barnes {
         .zero {fbytes}
         .text
         # the interaction-list walk is genuine pointer chasing: node
-        # addresses come from `next` links loaded at run time, so the
-        # symbolic analysis cannot bound the read footprints — but the race
-        # checker's exact DLP walk can, and proves the reads stay inside
-        # the read-only m/pos/heads arrays, so no allow is needed.
+        # addresses come from `next` links loaded at run time. The race
+        # checker's walk follows them and sees the reads stay inside the
+        # read-only m/pos/heads arrays, so no allow is needed.
         tid     x10
         li      x11, {bodies_per_thread}
         mul     x12, x10, x11

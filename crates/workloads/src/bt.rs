@@ -125,8 +125,7 @@ impl Workload for Bt {
         .zero 8
         .text
         # the boundary-stencil strip base rolls through the pass loop; the
-        # symbolic footprints smear past the read-only bsrc strip, but the
-        # race checker's exact DLP walk proves the per-epoch access hulls
+        # race checker's walk sees each thread's per-epoch access sets
         # disjoint, so no allow is needed.
         li      x9, {vltcfg}
         vltcfg  x9

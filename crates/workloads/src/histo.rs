@@ -3,8 +3,7 @@
 //!
 //! A counting sort written the way the paper's applications thread: each
 //! thread histograms its slice of the keys into a *private* bucket block
-//! (data-dependent read-modify-writes whose footprint the content
-//! analysis bounds from the key image — the partition lemma), thread 0
+//! (data-dependent read-modify-writes confined to that block), thread 0
 //! turns the per-thread histograms into exclusive starting offsets in
 //! `(bucket, thread)` order, and each thread then ranks its keys through
 //! its private offset block and retires them with a `vstx` permutation
@@ -14,11 +13,10 @@
 //! indexing and the final scatter need no shifts in the hot loops.
 //!
 //! Verification interest: the scatter's destinations come through memory
-//! (the rank scratch), steered by offsets another thread wrote — beyond
-//! any per-thread symbolic walk. The race analysis discharges it with the
-//! DLP walk's certified epoch-synchronous access sets: the per-epoch
-//! destination sets are a permutation of `out`, exactly the injectivity
-//! lemma. Zero allows.
+//! (the rank scratch), steered by offsets another thread wrote in an
+//! earlier epoch. The race checker's walk follows them concretely: the
+//! per-epoch destination sets are a permutation of `out`, interleaved
+//! across threads but disjoint. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

@@ -26,15 +26,15 @@
 //!
 //! Alongside the nine Table-4 applications, an **irregular suite**
 //! ([`irregular_suite`]) of four gather/scatter-heavy kernels exercises
-//! the content-aware footprint analysis — data-dependent addressing that
-//! the verifier must certify without any `vlint.allow.*` annotation:
+//! the race checker's walk on data-dependent addressing that the
+//! verifier must certify without any `vlint.allow.*` annotation:
 //!
-//! | name       | structure                              | discharged by      |
-//! |------------|----------------------------------------|--------------------|
-//! | `spmv`     | CSR sparse matrix-vector product       | exact walk hulls   |
-//! | `histo`    | histogram + permutation scatter        | injectivity lemma  |
-//! | `hashjoin` | hash build + vectorized indexed probe  | masked-index bound |
-//! | `sweep`    | multi-sweep stencil, permuted schedule | partition lemma    |
+//! | name       | structure                              | why the sets stay disjoint    |
+//! |------------|----------------------------------------|-------------------------------|
+//! | `spmv`     | CSR sparse matrix-vector product       | gathers only read             |
+//! | `histo`    | histogram + permutation scatter        | exclusive prefix-sum offsets  |
+//! | `hashjoin` | hash build + vectorized indexed probe  | masked index per table block  |
+//! | `sweep`    | multi-sweep stencil, permuted schedule | per-thread schedule slices    |
 
 pub mod characterize;
 pub mod common;

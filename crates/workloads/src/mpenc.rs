@@ -122,9 +122,8 @@ impl Workload for Mpenc {
         .zero 8
         .text
         # the cur/ref row cursors advance through three nested loops (row,
-        # candidate, block); the symbolic footprints smear past the
-        # read-only input planes, but the race checker's exact DLP walk
-        # proves the per-epoch access hulls disjoint, so no allow is needed.
+        # candidate, block); the race checker's walk sees the per-epoch
+        # access sets disjoint, so no allow is needed.
         li      x9, {vltcfg}
         vltcfg  x9
         tid     x10

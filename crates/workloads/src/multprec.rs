@@ -111,10 +111,8 @@ impl Workload for Multprec {
         .zero 8
         .text
         # the carry ripple is a data-dependent scalar walk whose limb
-        # cursor joins back into the vector phase; the symbolic footprints
-        # smear across the whole c/outp arrays, but the race checker's
-        # exact DLP walk proves the per-number partition disjoint, so no
-        # allow is needed.
+        # cursor joins back into the vector phase; the race checker's walk
+        # sees the per-number partition disjoint, so no allow is needed.
         li      x9, {vltcfg}
         vltcfg  x9
         tid     x10

@@ -87,10 +87,9 @@ impl Workload for Ocean {
         .text
         # cur/next swap between u0 and u1 every sweep, and the stencil
         # deliberately reads the up/down rows owned by neighbouring threads
-        # — from the *previous* sweep's grid. The symbolic analysis cannot
-        # separate the two grids after the swap join, but the race
-        # checker's exact DLP walk proves the reads and the neighbours'
-        # writes never share a barrier epoch's hull, so no allow is needed.
+        # — from the *previous* sweep's grid. The race checker's walk
+        # sees the reads and the neighbours' writes in different barrier
+        # epochs, so no allow is needed.
         tid     x10
         li      x11, {rows_per_thread}
         mul     x12, x10, x11

@@ -28,8 +28,8 @@
 //! values are dead (the pipeline drains before use), but the strict
 //! no-intra-epoch-sharing invariant was violated. Guard words between
 //! `keys`/`buf` and `buf`/`hist` keep the over-reads out of every written
-//! footprint; results are unchanged. The data-dependent scatter itself is
-//! beyond static bounding and carries a documented `race-unknown` allow.
+//! range; results are unchanged. The data-dependent scatter itself is
+//! followed concretely by the race checker's walk and needs no allow.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;
@@ -204,14 +204,10 @@ impl Workload for Radix {
         .zero 8
         .text
         # the scatter writes through offsets accumulated from the global
-        # prefix sum — data-dependent addressing the symbolic footprints
-        # cannot bound, and the same widened cursors smear the transposed
-        # hist/offs slot footprints across neighbouring threads' slots.
-        # The slot partition is disjoint by construction and the scatter
-        # targets are disjoint because the prefix sum is exclusive per
-        # (bucket, thread): exactly the permutation lemma the DLP walk's
-        # epoch-synchronous access sets certify, so the race analysis discharges
-        # every pair here without allow annotations.
+        # prefix sum. The transposed hist/offs slot partition is disjoint
+        # by construction and the scatter targets are disjoint because the
+        # prefix sum is exclusive per (bucket, thread): the race checker's
+        # walk sees disjoint per-epoch access sets, so no allow is needed.
         tid     x10
         li      x11, {keys_per_thread}
         mul     x12, x10, x11      # k0

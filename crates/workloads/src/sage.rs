@@ -66,10 +66,9 @@ impl Workload for Sage {
     u1:
         .zero {bytes}
         .text
-        # cur/next swap between u0 and u1 every timestep; the symbolic
-        # analysis sees each pointer as possibly-either-base, but the race
-        # checker's exact DLP walk separates the two grids per barrier
-        # epoch, so no allow is needed.
+        # cur/next swap between u0 and u1 every timestep; the race
+        # checker's walk separates the two grids per barrier epoch, so no
+        # allow is needed.
         li      x9, {vltcfg}
         vltcfg  x9
         tid     x10

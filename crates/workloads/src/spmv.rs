@@ -11,9 +11,9 @@
 //!
 //! Verification interest: the gather's addresses are data-dependent
 //! (loaded column offsets), but every steering table is read-only `.data`,
-//! so the content-aware footprint analysis bounds the CSR cursors from the
-//! row-pointer image and the exact multi-thread walk certifies the
-//! remaining gather/partition disjointness — no `vlint.allow.*` anywhere.
+//! so the race checker's multi-thread walk follows the CSR cursors
+//! concretely and certifies the gather/partition disjointness — no
+//! `vlint.allow.*` anywhere.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

@@ -10,11 +10,10 @@
 //! produce).
 //!
 //! Verification interest: the destination addresses are loaded from
-//! memory, yet the content-aware footprint analysis folds each thread's
-//! slice of the schedule table into a value hull that is exactly the
-//! thread's row block — per-thread disjoint index ranges, the partition
-//! lemma — so the data-dependent writes are discharged statically even
-//! though the rows are visited in scrambled order. Zero allows.
+//! memory, yet each thread's slice of the schedule table holds only its
+//! own row block, so the race checker's walk sees per-thread disjoint
+//! write sets in every epoch even though the rows are visited in
+//! scrambled order. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

@@ -124,10 +124,9 @@ impl Workload for Trfd {
         # the symmetric-pair bookkeeping below is modeled work whose result
         # is intentionally unused; see the module docs
         .eq vlint.allow.dead_write, 1
-        # row starts come from the offs table loaded at run time, so the
-        # symbolic analysis cannot bound the y/z cursors — but the race
-        # checker's exact DLP walk can, and proves the per-thread row
-        # ranges disjoint, so no allow is needed.
+        # row starts come from the offs table loaded at run time; the race
+        # checker's walk follows them and sees the per-thread row ranges
+        # disjoint, so no allow is needed.
         li      x9, {vltcfg}
         vltcfg  x9
         tid     x10

@@ -33,3 +33,13 @@ fn vlt_run_rejects_bad_flags() {
     let (code, stderr) = vlt_run(&["--config", "v4-cmt", "-t", "4", "--max-cycles", "100000"]);
     assert_eq!(code, Some(0), "{stderr}");
 }
+
+/// A vector program on the lane-thread configuration, which has no vector
+/// unit, fails with the instruction that reached a lane core.
+#[test]
+fn vlt_run_reports_vector_code_on_lane_cores() {
+    let (code, stderr) = vlt_run(&["--config", "v4-cmt-lanes", "-t", "8"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("vector instruction `"), "{stderr}");
+    assert!(stderr.contains("on a lane core, which has no vector unit"), "{stderr}");
+}
